@@ -15,7 +15,7 @@ use sfr_core::{benchmarks, Fig7Series, StudyBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = paper_config();
-    let threads = threads_from_args();
+    let threads = threads_from_args()?;
     // One trace/metrics file spans all three benchmark studies.
     let obs = ObsArgs::from_env()?;
     println!("Figure 7: SFR controller faults vs datapath power (±5% band).");

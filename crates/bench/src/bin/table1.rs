@@ -12,7 +12,7 @@ use sfr_core::exec::{Counters, Tee};
 use sfr_core::{render_table1, StudyBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let threads = threads_from_args();
+    let threads = threads_from_args()?;
     eprintln!(
         "classifying and grading diffeq on {threads} thread(s) \
          (Monte Carlo power, 63 faults + baseline per lane-packed pass)..."

@@ -109,7 +109,7 @@ fn show(
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let threads = threads_from_args();
+    let threads = threads_from_args()?;
     let counters = Counters::new();
     let obs = ObsArgs::from_env()?;
     let sinks = obs.sinks(&counters);

@@ -13,7 +13,7 @@ use sfr_core::{benchmarks, worst_case_extra_effects, System};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = paper_config();
-    let threads = threads_from_args();
+    let threads = threads_from_args()?;
     let counters = Counters::new();
     let obs = ObsArgs::from_env()?;
     let sinks = obs.sinks(&counters);

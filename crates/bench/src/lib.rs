@@ -71,18 +71,40 @@ pub fn quick_config() -> StudyConfig {
 /// Returns 1 when absent; 0 resolves to all available cores. Results
 /// are byte-identical at every thread count — the flag only changes
 /// wall-clock time.
-pub fn threads_from_args() -> usize {
+///
+/// # Errors
+///
+/// Names the flag when its value is missing or not a thread count.
+pub fn threads_from_args() -> Result<usize, String> {
     let args: Vec<String> = std::env::args().collect();
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1);
-    if threads == 0 {
+    threads_from(&args)
+}
+
+fn threads_from(args: &[String]) -> Result<usize, String> {
+    let threads = match flag_value(args, "--threads")? {
+        None => 1,
+        Some(v) => v
+            .parse::<usize>()
+            .map_err(|_| format!("bad --threads value `{v}` (expected a thread count)"))?,
+    };
+    Ok(if threads == 0 {
         sfr_core::exec::default_threads()
     } else {
         threads
+    })
+}
+
+/// The value following flag `name` in `args`, if the flag is present.
+/// A flag that ends the argument list, or is followed by another
+/// `--flag`, is missing its value: an error naming the flag, never a
+/// silent default.
+fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v)),
+        _ => Err(format!("{name} needs a value")),
     }
 }
 
@@ -110,22 +132,21 @@ impl ObsArgs {
     ///
     /// # Errors
     ///
-    /// Fails when the trace file cannot be created.
+    /// Fails when a sink flag is missing its value or the trace file
+    /// cannot be created.
     pub fn from_env() -> std::io::Result<Self> {
         let args: Vec<String> = std::env::args().collect();
         let value = |name: &str| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .cloned()
+            flag_value(&args, name)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))
         };
-        let trace = match value("--trace-out") {
+        let trace = match value("--trace-out")? {
             Some(path) => Some(TraceWriter::create(path)?),
             None => None,
         };
         Ok(ObsArgs {
             trace,
-            metrics: value("--metrics-out").map(|p| (Metrics::new(), p)),
+            metrics: value("--metrics-out")?.map(|p| (Metrics::new(), p.to_string())),
             tty: TtyStatus::stderr(args.iter().any(|a| a == "--quiet")),
         })
     }
@@ -162,5 +183,43 @@ impl ObsArgs {
             eprintln!("trace written to {path}");
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn threads_default_to_one_and_parse_a_count() {
+        assert_eq!(threads_from(&args(&["table3"])), Ok(1));
+        assert_eq!(threads_from(&args(&["table3", "--threads", "3"])), Ok(3));
+        assert!(threads_from(&args(&["table3", "--threads", "0"])).is_ok_and(|n| n >= 1));
+    }
+
+    #[test]
+    fn a_missing_or_bad_threads_value_is_an_error_naming_the_flag() {
+        for bad in [
+            &["table3", "--threads"][..],
+            &["table3", "--threads", "--quiet"],
+            &["table3", "--threads", "two"],
+        ] {
+            let err = threads_from(&args(bad)).unwrap_err();
+            assert!(err.contains("--threads"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_sink_flag_without_a_path_is_an_error() {
+        let list = args(&["fig7", "--quiet", "--trace-out"]);
+        assert_eq!(
+            flag_value(&list, "--trace-out"),
+            Err("--trace-out needs a value".to_string())
+        );
+        assert_eq!(flag_value(&list, "--metrics-out"), Ok(None));
     }
 }

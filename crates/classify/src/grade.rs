@@ -8,8 +8,8 @@
 //!
 //! Grading is **lane-packed**: up to [`MAX_PARALLEL_FAULTS`] faults plus
 //! the fault-free baseline (lane 0) share every simulation pass of one
-//! 64-lane [`ParallelFaultSim`], with per-lane switching activity
-//! accumulated bit-parallel ([`sfr_netlist::LaneActivity`]). Lane 0
+//! compiled 64-lane [`TapeSim`], with per-lane switching activity
+//! accumulated bit-parallel ([`sfr_netlist::TapeActivity`]). Lane 0
 //! doubles as a baseline-activity cache: the separate fault-free Monte
 //! Carlo the scalar path runs per design comes for free with pack 0.
 //! Every lane is an exact dual-rail simulation, so lane-packed grades
@@ -24,13 +24,13 @@ use sfr_exec::{
 use sfr_faultsim::{RunConfig, SimKernel, System};
 use sfr_journal::{decode_str, encode_str, CampaignJournal, RecordKind};
 use sfr_netlist::{
-    CycleSim, Logic, ParallelFaultSim, StuckAt, TapeProgram, TapeSim, TapeWord, TooManyFaultsError,
+    CycleSim, Logic, StuckAt, TapeProgram, TapeSim, TapeWord, TooManyFaultsError,
     MAX_PARALLEL_FAULTS, MAX_WIDE_FAULTS, W256,
 };
 use sfr_power_model::{
-    power_from_activity_where, power_from_lane_activity_where, power_from_tape_activity_where,
-    run_monte_carlo, run_monte_carlo_lanes, run_monte_carlo_par, MonteCarloConfig,
-    MonteCarloResult, PowerConfig, PowerReport,
+    power_from_activity_where, power_from_tape_activity_where, run_monte_carlo,
+    run_monte_carlo_lanes, run_monte_carlo_par, MonteCarloConfig, MonteCarloResult, PowerConfig,
+    PowerReport,
 };
 use sfr_tpg::TestSet;
 
@@ -137,10 +137,11 @@ pub fn measure_power_with_testset(
     })
 }
 
-/// Lane-packed [`measure_power_with_testset`]: one 64-lane pass measures
-/// the fault-free baseline (lane 0) and up to [`MAX_PARALLEL_FAULTS`]
-/// faults at once, returning one [`PowerReport`] per lane
-/// (`reports[0]` fault-free, `reports[1 + i]` under `faults[i]`).
+/// Lane-packed [`measure_power_with_testset`]: one 64-lane pass of the
+/// compiled op tape measures the fault-free baseline (lane 0) and up to
+/// [`MAX_PARALLEL_FAULTS`] faults at once, returning one [`PowerReport`]
+/// per lane (`reports[0]` fault-free, `reports[1 + i]` under
+/// `faults[i]`).
 ///
 /// Run boundaries are steered by decoding **lane 0** — the fault-free
 /// controller — which is exact for the baseline and equal to each fault
@@ -184,63 +185,21 @@ pub fn measure_power_lanes_watched(
     ts: &TestSet,
     cfg: &GradeConfig,
 ) -> Result<(Vec<PowerReport>, u64), TooManyFaultsError> {
-    let mut sim = ParallelFaultSim::new(&sys.netlist, faults)?;
-    sim.track_activity(true);
-    let hold = sys.meta.hold_state();
-    let ceiling = cfg.run.run_ceiling();
-    let armed = cfg.run.cycle_budget != 0;
-    let mut idx = 0usize;
-    let mut stalled = 0u64;
-    while idx < ts.len() {
-        sys.reset_psim(&mut sim, Logic::Zero);
-        let mut len = 0usize;
-        let mut in_hold_for = 0usize;
-        while idx < ts.len() && len < ceiling {
-            sys.apply_pattern_parallel(&mut sim, ts.patterns()[idx]);
-            idx += 1;
-            len += 1;
-            sim.eval();
-            let st = sys.decode_state_lane(&sim, 0);
-            let ending = armed && st == Some(hold) && in_hold_for + 1 > cfg.run.hold_cycles;
-            if ending {
-                // Lane 0 completed this run; a fault lane still outside
-                // HOLD at the same instant has lost the sequence.
-                for (i, _) in faults.iter().enumerate() {
-                    if stalled & (1 << i) == 0 && sys.decode_state_lane(&sim, i + 1) != Some(hold) {
-                        stalled |= 1 << i;
-                    }
-                }
-            }
-            sim.clock();
-            if st == Some(hold) {
-                in_hold_for += 1;
-                if in_hold_for > cfg.run.hold_cycles {
-                    break;
-                }
-            }
-        }
-    }
-    let reports = power_from_lane_activity_where(
-        &sys.netlist,
-        sim.activity().expect("tracking enabled above"),
-        &cfg.power,
-        |g| !sys.is_controller_gate(g),
-    );
-    Ok((reports, stalled))
+    let prog = TapeProgram::<u64>::compile(&sys.netlist, faults)?;
+    let (reports, stalls) = measure_power_tape_watched(sys, &prog, ts, cfg);
+    Ok((reports, stalls[0]))
 }
 
-/// Tape-compiled [`measure_power_lanes_watched`]: the same measurement
-/// driven by a pre-compiled [`TapeProgram`] instead of the interpretive
-/// [`ParallelFaultSim`].
+/// [`measure_power_lanes_watched`] on a pre-compiled [`TapeProgram`] of
+/// any word width.
 ///
 /// The program is compiled once per fault pack and shared by every
 /// Monte Carlo batch; this form builds a fresh [`TapeSim`] per call,
 /// while [`measure_power_tape_watched_with`] reuses a caller-owned one
-/// across batches. Run steering (lane 0),
-/// per-run resets, the HOLD exit and the stall watchdog replicate the
-/// interpretive loop operation-for-operation, and each lane's extracted
-/// activity feeds the identical per-lane power accounting — reports are
-/// bit-identical to the interpretive path on the same fault pack.
+/// across batches. Run steering (lane 0), per-run resets, the HOLD exit
+/// and the stall watchdog are those of the scalar replay
+/// ([`SimKernel::Scalar`]), and each lane's activity feeds the same
+/// power accounting — reports are bit-identical to it lane for lane.
 ///
 /// The stall mask is returned as little-endian `u64` words (bit `i % 64`
 /// of word `i / 64` covers `faults[i]`), because a wide program grades
@@ -316,6 +275,87 @@ fn stall_bit(stalls: &[u64], i: usize) -> bool {
     stalls.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
 }
 
+/// [`measure_power_tape_watched`] one lane at a time on scalar
+/// [`CycleSim`]s — the reference behind [`SimKernel::Scalar`].
+///
+/// The fault-free machine runs first and fixes the run schedule: each
+/// run's length, and whether it ended by the HOLD exit. Every fault then
+/// replays that schedule on its own simulator, so run boundaries follow
+/// the fault-free controller exactly as lane 0 steers a packed pass, and
+/// the watchdog checks a fault's state at the instant the fault-free run
+/// ends. Reports and stall mask are bit-identical to the packed kernels.
+fn measure_power_scalar_watched(
+    sys: &System,
+    faults: &[StuckAt],
+    ts: &TestSet,
+    cfg: &GradeConfig,
+) -> (Vec<PowerReport>, Vec<u64>) {
+    let hold = sys.meta.hold_state();
+    let ceiling = cfg.run.run_ceiling();
+    let armed = cfg.run.cycle_budget != 0;
+    let datapath = |g| !sys.is_controller_gate(g);
+    let mut sim = CycleSim::new(&sys.netlist);
+    sim.track_activity(true);
+    // (run length, whether the run ended by the HOLD exit)
+    let mut schedule: Vec<(usize, bool)> = Vec::new();
+    let mut idx = 0usize;
+    while idx < ts.len() {
+        sys.reset_sim(&mut sim, Logic::Zero);
+        let mut len = 0usize;
+        let mut in_hold_for = 0usize;
+        let mut held = false;
+        while idx < ts.len() && len < ceiling {
+            sys.apply_pattern(&mut sim, ts.patterns()[idx]);
+            idx += 1;
+            len += 1;
+            sim.eval();
+            let st = sys.decode_state(&sim);
+            sim.clock();
+            if st == Some(hold) {
+                in_hold_for += 1;
+                if in_hold_for > cfg.run.hold_cycles {
+                    held = true;
+                    break;
+                }
+            }
+        }
+        schedule.push((len, held));
+    }
+    let mut reports = vec![power_from_activity_where(
+        &sys.netlist,
+        sim.activity(),
+        &cfg.power,
+        datapath,
+    )];
+    let mut stalled = vec![0u64; faults.len().div_ceil(64).max(1)];
+    for (i, &fault) in faults.iter().enumerate() {
+        let mut sim = CycleSim::with_fault(&sys.netlist, fault);
+        sim.track_activity(true);
+        let mut idx = 0usize;
+        for &(len, held) in &schedule {
+            sys.reset_sim(&mut sim, Logic::Zero);
+            for c in 0..len {
+                sys.apply_pattern(&mut sim, ts.patterns()[idx]);
+                idx += 1;
+                sim.eval();
+                // The fault-free run ends here; a fault still outside
+                // HOLD at the same instant has lost the sequence.
+                if armed && held && c + 1 == len && sys.decode_state(&sim) != Some(hold) {
+                    stalled[i / 64] |= 1 << (i % 64);
+                }
+                sim.clock();
+            }
+        }
+        reports.push(power_from_activity_where(
+            &sys.netlist,
+            sim.activity(),
+            &cfg.power,
+            datapath,
+        ));
+    }
+    (reports, stalled)
+}
+
 /// One Monte Carlo batch: fresh pseudorandom data keyed by the *batch
 /// index* (never by the executing thread), so serial and sharded
 /// estimations draw identical samples.
@@ -332,19 +372,7 @@ fn batch_testset(sys: &System, cfg: &GradeConfig, batch: usize) -> TestSet {
         cfg.patterns_per_batch,
         cfg.seed.wrapping_add(batch as u32),
     )
-    .expect("16-stage TPGR always constructs")
-}
-
-/// Lane-packed [`mc_batch`]: one batch's reports for a whole fault pack
-/// (lane 0 fault-free first).
-fn mc_batch_lanes(
-    sys: &System,
-    faults: &[StuckAt],
-    cfg: &GradeConfig,
-    batch: usize,
-) -> Result<(Vec<PowerReport>, u64), TooManyFaultsError> {
-    let ts = batch_testset(sys, cfg, batch);
-    measure_power_lanes_watched(sys, faults, &ts, cfg)
+    .expect("pattern width fits a word (checked when the study is built)")
 }
 
 /// Monte Carlo datapath power of an (optionally faulty) system.
@@ -464,7 +492,7 @@ enum PackOutcome {
     Computed {
         results: Vec<MonteCarloResult>,
         /// Watchdog stall mask in little-endian `u64` words (one word
-        /// for interpretive/tape packs, four for tape-wide packs).
+        /// for scalar/tape packs, four for tape-wide packs).
         stalls: Vec<u64>,
         restored: bool,
         /// Simulator cycles the pack's Monte Carlo loop evaluated
@@ -496,9 +524,9 @@ fn encode_pack(results: &[MonteCarloResult], stalls: &[u64], wide: bool) -> Vec<
         w.push(results.len() as u64);
         w
     } else {
-        // The narrow layout is byte-compatible with every journal ever
-        // written by the interpretive path, so interpretive and tape
-        // (u64) runs restore each other's packs verbatim.
+        // The narrow layout is the original journal format, so scalar
+        // and tape (u64) runs — and journals from earlier releases —
+        // restore each other's packs verbatim.
         vec![
             PACK_OK,
             stalls.first().copied().unwrap_or(0),
@@ -620,14 +648,14 @@ pub fn grade_faults_journaled(
         threads,
         progress,
         journal,
-        SimKernel::Interpretive,
+        SimKernel::Tape,
     )
 }
 
 /// Tape-kernel shape counters the always-on self-profiler captures per
 /// computed pack: program size, levelized depth, baked-in force ops,
 /// and the delta sweep's dirty-column count from the final batch. All
-/// zeros under the interpretive kernel, which compiles no tape. Pure
+/// zeros under the scalar kernel, which compiles no tape. Pure
 /// diagnostics — never journaled, never fingerprinted.
 #[derive(Debug, Default, Clone, Copy)]
 struct PackProf {
@@ -654,14 +682,8 @@ fn run_pack_tape<W: TapeWord>(
     let prog =
         TapeProgram::<W>::compile(&sys.netlist, pack).expect("packs never exceed the lane limit");
     let mut sim = TapeSim::new(&prog);
-    let results = run_monte_carlo_lanes(&cfg.mc, pack.len() + 1, |batch| {
-        let ts = batch_testset(sys, cfg, batch);
-        let (reports, batch_stalls) = measure_power_tape_watched_with(sys, &mut sim, &ts, cfg);
-        for (acc, w) in stalls.iter_mut().zip(&batch_stalls) {
-            *acc |= *w;
-        }
-        *cycles += reports[0].cycles;
-        reports
+    let results = run_pack_batches(sys, cfg, pack.len() + 1, stalls, cycles, |ts| {
+        measure_power_tape_watched_with(sys, &mut sim, ts, cfg)
     });
     *prof = PackProf {
         ops: prog.len(),
@@ -674,13 +696,35 @@ fn run_pack_tape<W: TapeWord>(
     results
 }
 
+/// One pack's Monte Carlo estimation over `lanes` lanes, `measure`
+/// simulating one batch's test set for the whole pack. Stall masks
+/// accumulate across batches; all lanes share one schedule, so lane 0's
+/// cycle count is the pack's per-batch simulation cost.
+fn run_pack_batches(
+    sys: &System,
+    cfg: &GradeConfig,
+    lanes: usize,
+    stalls: &mut [u64],
+    cycles: &mut u64,
+    mut measure: impl FnMut(&TestSet) -> (Vec<PowerReport>, Vec<u64>),
+) -> Vec<MonteCarloResult> {
+    run_monte_carlo_lanes(&cfg.mc, lanes, |batch| {
+        let (reports, batch_stalls) = measure(&batch_testset(sys, cfg, batch));
+        for (acc, w) in stalls.iter_mut().zip(&batch_stalls) {
+            *acc |= *w;
+        }
+        *cycles += reports[0].cycles;
+        reports
+    })
+}
+
 /// Lane capacity of one grade pack under `kernel` — the number of
 /// faults that share a simulation pass with the fault-free baseline on
 /// lane 0. This is the unit of work a distributed campaign hands out:
 /// pack `p` covers `faults[p*cap .. (p+1)*cap]`.
 pub fn grade_pack_capacity(kernel: SimKernel) -> usize {
     match kernel {
-        SimKernel::Interpretive | SimKernel::Tape => MAX_PARALLEL_FAULTS,
+        SimKernel::Scalar | SimKernel::Tape => MAX_PARALLEL_FAULTS,
         SimKernel::TapeWide => MAX_WIDE_FAULTS,
     }
 }
@@ -722,15 +766,11 @@ fn run_pack(
         ..PackProf::default()
     };
     let results = match kernel {
-        SimKernel::Interpretive => run_monte_carlo_lanes(&cfg.mc, pack.len() + 1, |batch| {
-            let (reports, batch_stalls) =
-                mc_batch_lanes(sys, pack, cfg, batch).expect("packs never exceed the lane limit");
-            stalls[0] |= batch_stalls;
-            // All lanes share one schedule; lane 0's cycle count is
-            // the pack's per-batch simulation cost.
-            cycles += reports[0].cycles;
-            reports
-        }),
+        SimKernel::Scalar => {
+            run_pack_batches(sys, cfg, pack.len() + 1, &mut stalls, &mut cycles, |ts| {
+                measure_power_scalar_watched(sys, pack, ts, cfg)
+            })
+        }
         SimKernel::Tape => {
             run_pack_tape::<u64>(sys, pack, cfg, &mut stalls, &mut cycles, &mut prof)
         }
@@ -788,12 +828,13 @@ pub fn validate_pack_payload(
 ///
 /// The kernel selects both the per-batch simulator and the pack width:
 ///
-/// * [`SimKernel::Interpretive`] — the dispatching
-///   [`ParallelFaultSim`], packs of [`MAX_PARALLEL_FAULTS`];
-/// * [`SimKernel::Tape`] — the compiled 64-bit op tape, same pack
-///   width. Pack boundaries, sample streams and per-lane activity are
-///   identical to the interpretive path, so grades, progress streams
-///   and journal records are all byte-identical to it;
+/// * [`SimKernel::Tape`] — the compiled 64-bit op tape, packs of
+///   [`MAX_PARALLEL_FAULTS`];
+/// * [`SimKernel::Scalar`] — the same packs measured one lane at a
+///   time on scalar [`CycleSim`]s, replaying lane 0's run schedule.
+///   Pack boundaries, sample streams and per-lane activity are
+///   identical to the tape's, so grades, progress streams and journal
+///   records are all byte-identical to it;
 /// * [`SimKernel::TapeWide`] — the 256-bit op tape, packs of
 ///   [`MAX_WIDE_FAULTS`]. Each lane's Monte Carlo estimation is still
 ///   the serial stopping rule replayed on that lane's own sample
@@ -801,8 +842,8 @@ pub fn validate_pack_payload(
 ///   only pack-granular accounting (pack counts, per-pack journal
 ///   records and trace records) reflects the wider packing.
 ///
-/// Journal compatibility follows the same split: interpretive and tape
-/// runs restore each other's [`PACK_OK`] records verbatim, while wide
+/// Journal compatibility follows the same split: scalar and tape runs
+/// restore each other's [`PACK_OK`] records verbatim, while wide
 /// records use the distinct [`PACK_OK_WIDE`] tag so a resume that
 /// switches pack width recomputes instead of pairing cached lanes with
 /// the wrong faults.
@@ -983,13 +1024,7 @@ pub fn grade_faults_journaled_with_kernel(
     let baseline = match &outcomes[0] {
         PackOutcome::Computed { results, .. } => results[0],
         PackOutcome::Quarantined { message, .. } => {
-            let rescue = par_map_indexed_caught(1, 1, |_| {
-                run_monte_carlo_lanes(&cfg.mc, 1, |batch| {
-                    let (reports, _) = mc_batch_lanes(sys, &[], cfg, batch)
-                        .expect("the empty pack is always in range");
-                    reports
-                })[0]
-            });
+            let rescue = par_map_indexed_caught(1, 1, |_| run_pack(sys, &[], cfg, kernel).0[0]);
             match rescue.into_iter().next() {
                 Some(Ok(mc)) => {
                     progress.event(ProgressEvent::MonteCarlo {
@@ -1245,7 +1280,7 @@ mod tests {
     }
 
     #[test]
-    fn tape_kernels_grade_byte_identically_to_interpretive() {
+    fn every_kernel_grades_byte_identically_to_the_scalar_reference() {
         let sys = toy_system();
         let cfg = quick_cfg();
         let ccfg = crate::ClassifyConfig {
@@ -1255,42 +1290,43 @@ mod tests {
         let c = crate::classify_system(&sys, &ccfg);
         let faults: Vec<StuckAt> = c.sfr().map(|f| f.fault).collect();
         assert!(!faults.is_empty(), "toy system exposes SFR faults");
-        let (base_i, grades_i) = grade_faults(&sys, &faults, &cfg);
-        for kernel in [SimKernel::Tape, SimKernel::TapeWide] {
+        let (base_s, grades_s) = grade_faults_scalar_with(&sys, &faults, &cfg, 1, &NullProgress);
+        for kernel in [SimKernel::Scalar, SimKernel::Tape, SimKernel::TapeWide] {
             for threads in [1, 2, 8] {
-                let (base_t, grades_t) =
+                let (base_k, grades_k) =
                     grade_faults_with_kernel(&sys, &faults, &cfg, threads, &NullProgress, kernel);
-                assert_eq!(base_i, base_t, "baseline, {kernel:?}, threads = {threads}");
-                assert_eq!(grades_i.len(), grades_t.len());
-                for (i, t) in grades_i.iter().zip(&grades_t) {
-                    assert_eq!(i.fault, t.fault);
-                    assert_eq!(i.mean_uw, t.mean_uw, "{kernel:?}, threads = {threads}");
+                assert_eq!(base_s, base_k, "baseline, {kernel:?}, threads = {threads}");
+                assert_eq!(grades_s.len(), grades_k.len());
+                for (s, k) in grades_s.iter().zip(&grades_k) {
+                    assert_eq!(s.fault, k.fault);
+                    assert_eq!(s.mean_uw, k.mean_uw, "{kernel:?}, threads = {threads}");
                     assert_eq!(
-                        i.pct_change, t.pct_change,
+                        s.pct_change, k.pct_change,
                         "{kernel:?}, threads = {threads}"
                     );
-                    assert_eq!(i.flagged, t.flagged);
+                    assert_eq!(s.flagged, k.flagged);
                 }
             }
         }
     }
 
     #[test]
-    fn tape_testset_measurement_matches_interpretive() {
+    fn tape_testset_measurement_matches_the_scalar_replay() {
         let sys = toy_system();
         let mut cfg = quick_cfg();
-        cfg.run.cycle_budget = 64; // arm the watchdog on both paths
+        cfg.run.cycle_budget = 64; // arm the watchdog on every path
         let ts = TestSet::pseudorandom(sys.pattern_width(), 120, 0x5EED).unwrap();
+        // Arbitrary controller faults, not only SFR ones: some of them
+        // derail the controller, which the watchdog must report alike.
         let faults: Vec<StuckAt> = sys.controller_faults().into_iter().take(10).collect();
-        let (want, want_stalls) = measure_power_lanes_watched(&sys, &faults, &ts, &cfg).unwrap();
-        let prog = TapeProgram::<u64>::compile(&sys.netlist, &faults).unwrap();
-        let (got, got_stalls) = measure_power_tape_watched(&sys, &prog, &ts, &cfg);
-        assert_eq!(want, got, "tape reports = interpretive reports");
-        assert_eq!(vec![want_stalls], got_stalls, "same watchdog verdicts");
+        let (want, want_stalls) = measure_power_scalar_watched(&sys, &faults, &ts, &cfg);
+        let (got, got_stalls) = measure_power_lanes_watched(&sys, &faults, &ts, &cfg).unwrap();
+        assert_eq!(want, got, "tape reports = scalar reports");
+        assert_eq!(want_stalls, vec![got_stalls], "same watchdog verdicts");
         let wprog = TapeProgram::<W256>::compile(&sys.netlist, &faults).unwrap();
         let (wgot, wstalls) = measure_power_tape_watched(&sys, &wprog, &ts, &cfg);
-        assert_eq!(want, wgot, "wide tape reports = interpretive reports");
-        assert_eq!(vec![want_stalls], wstalls);
+        assert_eq!(want, wgot, "wide tape reports = scalar reports");
+        assert_eq!(want_stalls, wstalls);
     }
 
     #[test]

@@ -27,6 +27,7 @@ use sfr_hls::EmittedSystem;
 use sfr_journal::CampaignJournal;
 use sfr_obs::{PhaseTime, ProfileSection, RunManifest, Tallies};
 use sfr_power_model::MonteCarloConfig;
+use sfr_tpg::TestSet;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -211,9 +212,8 @@ impl StudyBuilder {
         self
     }
 
-    /// Overrides the fault-simulation engine (default: chosen from the
-    /// thread count — the 63-lane engine at 1 thread, the threaded
-    /// engine above).
+    /// Overrides the fault-simulation engine (default: the compiled
+    /// tape engine on the builder's thread count).
     pub fn engine(mut self, engine: EngineKind) -> Self {
         self.engine = Some(engine);
         self
@@ -334,6 +334,11 @@ impl StudyBuilder {
             Source::Emitted(name, emitted) => (name, *emitted),
         };
         let system = System::build(&emitted, self.cfg.system)?;
+        // Every test set the campaign draws is one pattern word wide:
+        // reject a system whose data inputs do not fit before any
+        // simulation starts.
+        TestSet::pseudorandom(system.pattern_width(), 0, self.cfg.classify.test_seed)
+            .map_err(|e| StudyError::InvalidConfig(format!("{name}: {e}")))?;
         let mut cfg = self.cfg;
         if let Some(factor) = self.cycle_budget {
             cfg.grade.run.cycle_budget =
@@ -764,6 +769,7 @@ pub fn paper_studies(cfg: &StudyConfig, threads: usize) -> Result<Vec<Study>, St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfr_faultsim::SimKernel;
 
     #[test]
     fn unknown_benchmark_is_an_invalid_config() {
@@ -776,6 +782,28 @@ mod tests {
     fn zero_width_is_rejected_before_any_build() {
         let err = StudyBuilder::new("poly").width(0).build().unwrap_err();
         assert!(matches!(err, StudyError::InvalidConfig(_)));
+    }
+
+    #[test]
+    fn pattern_words_wider_than_64_bits_are_rejected() {
+        // diffeq has five 13-bit data inputs: 65 bits per pattern.
+        let err = StudyBuilder::new("diffeq").width(13).build().unwrap_err();
+        assert!(matches!(err, StudyError::InvalidConfig(_)), "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("pattern width 65") && msg.contains("64"),
+            "{msg}"
+        );
+        assert!(StudyBuilder::new("diffeq").width(12).build().is_ok());
+    }
+
+    #[test]
+    fn the_default_engine_grades_on_the_tape_at_one_and_two_threads() {
+        for threads in [1, 2] {
+            let prepared = StudyBuilder::new("poly").threads(threads).build().unwrap();
+            assert_eq!(prepared.engine_kind(), EngineKind::Tape(threads));
+            assert_eq!(prepared.engine_kind().build().kernel(), SimKernel::Tape);
+        }
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! flight lives here:
 //!
 //! * [`Engine`] / [`EngineKind`] — selectable fault-simulation engines
-//!   ([`SerialEngine`], [`LaneEngine`], [`ThreadedEngine`], and the
-//!   compiled-tape [`TapeEngine`] / [`TapeWideEngine`]), all
-//!   verdict-identical;
+//!   (the compiled-tape [`TapeEngine`] — the default — and
+//!   [`TapeWideEngine`], plus the scalar reference [`SerialEngine`]),
+//!   all verdict-identical;
 //! * [`Progress`] / [`ProgressEvent`] / [`Counters`] — the campaign
 //!   observer hook (phase wall times, faults simulated and dropped,
 //!   Monte Carlo convergence);
@@ -22,6 +22,6 @@ pub use sfr_exec::{
     ProgressEvent, TaskPanic, Tee, TraceRecord, WorkKind,
 };
 pub use sfr_faultsim::{
-    run_campaign, run_campaign_quarantined, Engine, EngineKind, LaneEngine, QuarantinedChunk,
-    SerialEngine, SimKernel, TapeEngine, TapeWideEngine, ThreadedEngine,
+    run_campaign, run_campaign_quarantined, Engine, EngineKind, QuarantinedChunk, SerialEngine,
+    SimKernel, TapeEngine, TapeWideEngine,
 };

@@ -6,7 +6,7 @@ use sfr_classify::{
     Classification, ClassifyConfig, GradeConfig, GradeIncident, PowerGrade,
 };
 use sfr_exec::{NullProgress, Phase, PhaseTimer, Progress};
-use sfr_faultsim::{Engine, LaneEngine, SerialEngine, System, SystemConfig};
+use sfr_faultsim::{Engine, SerialEngine, System, SystemConfig, TapeEngine};
 use sfr_hls::EmittedSystem;
 use sfr_journal::CampaignJournal;
 use sfr_netlist::StuckAt;
@@ -190,7 +190,7 @@ pub(crate) fn execute_study(
     };
 
     // Grading runs on the same kernel family the engine classifies
-    // with, so `--engine tape`/`tape-wide` accelerates both phases.
+    // with, so one `--engine` choice drives both phases.
     let report = grade_faults_journaled_with_kernel(
         &system,
         &to_grade,
@@ -294,7 +294,7 @@ pub(crate) fn run_study_impl(
     let system = System::build(emitted, cfg.system)?;
     timer.finish();
     let engine: &dyn Engine = if cfg.classify.parallel {
-        &LaneEngine
+        &TapeEngine::new(1)
     } else {
         &SerialEngine
     };

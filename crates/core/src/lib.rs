@@ -103,7 +103,7 @@ pub use sfr_classify::{
     GradeReport, Mismatch, PowerGrade, RuleVerdict, SfiReason, Verdict,
 };
 pub use sfr_faultsim::{
-    golden_trace, run_parallel, run_serial, CampaignOutcome, Detection, GoldenTrace, RunConfig,
+    golden_trace, run_serial, run_tape_counted, CampaignOutcome, Detection, GoldenTrace, RunConfig,
     RunSpec, System, SystemConfig,
 };
 pub use sfr_fsm::{EncodedFsm, Encoding, FillPolicy, FsmSpec, FsmSpecBuilder, StateId, Tri};
@@ -122,17 +122,15 @@ pub use sfr_logic::{minimize, Cover, Cube, SopMapper};
 pub use sfr_netlist::{
     critical_path, logic_to_u64, parse_verilog, parse_verilog_spanned, u64_to_logic,
     write_cell_library, write_verilog, Activity, ActivityMismatch, Atpg, CellKind, CycleSim,
-    EventSim, FaultClasses, FaultSite, GateId, LaneActivity, LaneCounts, Logic, NetId, Netlist,
-    NetlistBuilder, NetlistError, NetlistStats, ParallelFaultSim, ParseError, Pat, PatVec,
-    SourceSpans, StuckAt, TapeActivity, TapeProgram, TapeSim, TapeWord, TestOutcome, VcdRecorder,
-    MAX_PARALLEL_FAULTS, MAX_WIDE_FAULTS, W256,
+    EventSim, FaultClasses, FaultSite, GateId, LaneCounts, Logic, NetId, Netlist, NetlistBuilder,
+    NetlistError, NetlistStats, ParseError, Pat, SourceSpans, StuckAt, TapeActivity, TapeProgram,
+    TapeSim, TapeWord, TestOutcome, VcdRecorder, MAX_PARALLEL_FAULTS, MAX_WIDE_FAULTS, W256,
 };
 pub use sfr_obs as obs;
 pub use sfr_power_model::{
     power_from_activity, power_from_activity_parts, power_from_activity_where,
-    power_from_lane_activity_where, power_from_tape_activity_where, run_monte_carlo,
-    run_monte_carlo_lanes, MonteCarloConfig, MonteCarloResult, PowerConfig, PowerPopulation,
-    PowerReport, VariationModel,
+    power_from_tape_activity_where, run_monte_carlo, run_monte_carlo_lanes, MonteCarloConfig,
+    MonteCarloResult, PowerConfig, PowerPopulation, PowerReport, VariationModel,
 };
 pub use sfr_rtl::{
     elaborate_into, ConcreteDomain, CtrlId, CtrlKind, DataSrc, Datapath, DatapathBuilder,

@@ -348,7 +348,7 @@ pub enum ProgressEvent {
     ShardPackMerged,
     /// The always-on self-profiler finished accounting one computed
     /// grade pack: wall time plus tape-kernel shape counters. Zeros for
-    /// the interpretive engine, which has no compiled tape.
+    /// the scalar engine, which has no compiled tape.
     PackProfile {
         /// Wall time the pack spent simulating, µs (saturated).
         us: u64,

@@ -1,22 +1,18 @@
 //! Selectable fault-simulation engines behind one trait.
 //!
-//! The interpretive engines — [`SerialEngine`] (one fault at a time),
-//! [`LaneEngine`] (63 faults per machine word), [`ThreadedEngine`]
-//! (63-fault batches sharded across scoped worker threads) — produce
-//! identical verdict vectors for the same inputs. The threaded engine
-//! is outcome-identical to the lane engine *by construction*: batch
-//! boundaries are fixed at [`MAX_PARALLEL_FAULTS`] regardless of thread
-//! count, each batch is an independent simulation, and the executor
-//! reassembles batch results in fault order.
-//!
-//! The compiled engines — [`TapeEngine`] (63 faults per `u64` word on
-//! the levelized op tape) and [`TapeWideEngine`] (255 faults per
-//! 256-bit word) — swap the inner evaluator for
-//! [`sfr_netlist::TapeSim`] while keeping the same verdicts per fault;
-//! the `u64` tape additionally keeps the interpretive engines' batch
-//! boundaries, so its event and trace streams are byte-identical too.
+//! [`TapeEngine`] is the production engine: 63 faults per `u64` word on
+//! the compiled op tape ([`sfr_netlist::TapeSim`]), batches sharded
+//! across scoped worker threads. Batch boundaries are fixed at
+//! [`MAX_PARALLEL_FAULTS`] regardless of thread count, each batch is an
+//! independent simulation, and the executor reassembles batch results in
+//! fault order, so its verdicts, event streams and trace records are
+//! byte-identical at any thread count. [`TapeWideEngine`] packs 255
+//! faults per 256-bit word with the same per-fault verdicts.
+//! [`SerialEngine`] simulates one fault at a time on the scalar
+//! [`sfr_netlist::CycleSim`] — the reference every other engine is
+//! tested against.
 
-use crate::campaign::{run_parallel, run_serial, run_tape_counted, CampaignOutcome, Detection};
+use crate::campaign::{run_serial, run_tape_counted, CampaignOutcome, Detection};
 use crate::golden::GoldenTrace;
 use crate::system::System;
 use sfr_exec::{
@@ -32,11 +28,11 @@ use sfr_netlist::{StuckAt, MAX_PARALLEL_FAULTS, MAX_WIDE_FAULTS, W256};
 /// engine so one `--engine` selection drives the whole pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimKernel {
-    /// The graph-walking [`sfr_netlist::ParallelFaultSim`] (63 faults
-    /// per word) — the equivalence reference.
-    #[default]
-    Interpretive,
+    /// One scalar [`sfr_netlist::CycleSim`] per lane — the reference
+    /// the compiled kernels are tested against.
+    Scalar,
     /// The compiled op tape over `u64` words (63 faults per pack).
+    #[default]
     Tape,
     /// The compiled op tape over 256-bit words (255 faults per pack).
     TapeWide,
@@ -49,7 +45,7 @@ pub enum SimKernel {
 /// verdict (see the equivalence tests); they differ only in wall-clock
 /// time.
 pub trait Engine: Sync {
-    /// A short identifier for reports (`"serial"`, `"lane"`, …).
+    /// A short identifier for reports (`"serial"`, `"tape"`, …).
     fn name(&self) -> &'static str;
 
     /// Runs the campaign.
@@ -86,7 +82,7 @@ pub trait Engine: Sync {
     /// The inner evaluation kernel, for downstream phases that simulate
     /// on their own (Monte Carlo power grading).
     fn kernel(&self) -> SimKernel {
-        SimKernel::Interpretive
+        SimKernel::Tape
     }
 }
 
@@ -111,101 +107,19 @@ impl Engine for SerialEngine {
     ) -> (Vec<CampaignOutcome>, u64) {
         crate::campaign::run_serial_counted(sys, golden, faults)
     }
-}
 
-/// 63 faults per machine word, single-threaded.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LaneEngine;
-
-impl Engine for LaneEngine {
-    fn name(&self) -> &'static str {
-        "lane"
-    }
-
-    fn run(&self, sys: &System, golden: &GoldenTrace, faults: &[StuckAt]) -> Vec<CampaignOutcome> {
-        run_parallel(sys, golden, faults)
-    }
-
-    fn run_counted(
-        &self,
-        sys: &System,
-        golden: &GoldenTrace,
-        faults: &[StuckAt],
-    ) -> (Vec<CampaignOutcome>, u64) {
-        crate::campaign::run_parallel_counted(sys, golden, faults)
-    }
-}
-
-/// 63-fault batches sharded across scoped worker threads.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadedEngine {
-    threads: usize,
-}
-
-impl ThreadedEngine {
-    /// An engine using `threads` workers (0 means the machine's
-    /// available parallelism).
-    pub fn new(threads: usize) -> Self {
-        ThreadedEngine {
-            threads: if threads == 0 {
-                sfr_exec::default_threads()
-            } else {
-                threads
-            },
-        }
-    }
-}
-
-impl Engine for ThreadedEngine {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn run(&self, sys: &System, golden: &GoldenTrace, faults: &[StuckAt]) -> Vec<CampaignOutcome> {
-        // Batch boundaries match the lane engine exactly; each batch is
-        // an independent `run_parallel` call, so per-batch behaviour
-        // (lane assignment, fault dropping) is untouched by sharding.
-        let batches: Vec<&[StuckAt]> = faults.chunks(MAX_PARALLEL_FAULTS).collect();
-        par_map_indexed(self.threads, batches.len(), |i| {
-            run_parallel(sys, golden, batches[i])
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    fn run_counted(
-        &self,
-        sys: &System,
-        golden: &GoldenTrace,
-        faults: &[StuckAt],
-    ) -> (Vec<CampaignOutcome>, u64) {
-        let batches: Vec<&[StuckAt]> = faults.chunks(MAX_PARALLEL_FAULTS).collect();
-        let per_batch = par_map_indexed(self.threads, batches.len(), |i| {
-            crate::campaign::run_parallel_counted(sys, golden, batches[i])
-        });
-        let mut outcomes = Vec::with_capacity(faults.len());
-        let mut cycles = 0u64;
-        for (batch_outcomes, batch_cycles) in per_batch {
-            outcomes.extend(batch_outcomes);
-            cycles += batch_cycles;
-        }
-        (outcomes, cycles)
+    fn kernel(&self) -> SimKernel {
+        SimKernel::Scalar
     }
 }
 
 /// Compiled op-tape kernel: 63 faults per `u64` word, batches sharded
 /// across scoped worker threads (1 = run inline).
 ///
-/// Batch boundaries match the interpretive engines exactly, and every
-/// lane computes the same dual-rail values, so verdicts, cycle counts,
-/// event streams, and trace records are all byte-identical to
-/// [`LaneEngine`] / [`ThreadedEngine`] at any thread count — only the
-/// inner evaluator (and the wall clock) changes.
+/// Batch boundaries are fixed at [`MAX_PARALLEL_FAULTS`] whatever the
+/// thread count, so verdicts, cycle counts, event streams, and trace
+/// records are all byte-identical at any thread count — only the wall
+/// clock changes.
 #[derive(Debug, Clone, Copy)]
 pub struct TapeEngine {
     threads: usize,
@@ -330,19 +244,22 @@ impl Engine for TapeWideEngine {
 
 /// Which engine to run — the serializable selector the study API and
 /// the CLI expose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// [`SerialEngine`].
     Serial,
-    /// [`LaneEngine`] (the single-threaded default).
-    #[default]
-    Lane,
-    /// [`ThreadedEngine`] with the given worker count (0 = all cores).
-    Threaded(usize),
-    /// [`TapeEngine`] with the given worker count (0 = all cores).
+    /// [`TapeEngine`] with the given worker count (0 = all cores) — the
+    /// default.
     Tape(usize),
     /// [`TapeWideEngine`] with the given worker count (0 = all cores).
     TapeWide(usize),
+}
+
+impl Default for EngineKind {
+    /// The single-threaded tape engine.
+    fn default() -> Self {
+        EngineKind::Tape(1)
+    }
 }
 
 impl EngineKind {
@@ -350,31 +267,23 @@ impl EngineKind {
     pub fn build(self) -> Box<dyn Engine> {
         match self {
             EngineKind::Serial => Box::new(SerialEngine),
-            EngineKind::Lane => Box::new(LaneEngine),
-            EngineKind::Threaded(n) => Box::new(ThreadedEngine::new(n)),
             EngineKind::Tape(n) => Box::new(TapeEngine::new(n)),
             EngineKind::TapeWide(n) => Box::new(TapeWideEngine::new(n)),
         }
     }
 
-    /// The selector for a worker count: 0 or 1 workers degenerate to
-    /// the lane engine (same outcomes, no thread overhead).
+    /// The default selector for a worker count: the tape engine on
+    /// `threads` workers (0 = all cores).
     pub fn for_threads(threads: usize) -> Self {
-        if threads == 1 {
-            EngineKind::Lane
-        } else {
-            EngineKind::Threaded(threads)
-        }
+        EngineKind::Tape(threads)
     }
 
-    /// Parses a CLI selector (`serial`, `lane`, `threaded`, `tape`,
-    /// `tape-wide`), binding thread-scalable engines to `threads`.
-    /// Returns `None` for an unknown name.
+    /// Parses a CLI selector (`serial`, `tape`, `tape-wide`), binding
+    /// thread-scalable engines to `threads`. Returns `None` for an
+    /// unknown name.
     pub fn parse(name: &str, threads: usize) -> Option<EngineKind> {
         Some(match name {
             "serial" => EngineKind::Serial,
-            "lane" => EngineKind::Lane,
-            "threaded" => EngineKind::Threaded(threads),
             "tape" => EngineKind::Tape(threads),
             "tape-wide" => EngineKind::TapeWide(threads),
             _ => return None,
@@ -643,15 +552,13 @@ mod tests {
     }
 
     #[test]
-    fn all_three_engines_agree() {
+    fn every_engine_agrees_with_serial() {
         let (sys, golden, faults) = setup();
-        let reference = SerialEngine.run(&sys, &golden, &faults);
+        let (reference, _) = SerialEngine.run_counted(&sys, &golden, &faults);
         for kind in [
-            EngineKind::Lane,
-            EngineKind::Threaded(2),
-            EngineKind::Threaded(8),
             EngineKind::Tape(1),
             EngineKind::Tape(2),
+            EngineKind::Tape(8),
             EngineKind::TapeWide(1),
             EngineKind::TapeWide(2),
         ] {
@@ -661,53 +568,45 @@ mod tests {
     }
 
     #[test]
-    fn tape_is_byte_identical_to_lane_including_cycles() {
+    fn tape_is_byte_identical_at_any_thread_count_including_cycles() {
         let (sys, golden, faults) = setup();
-        let (lane, lane_cycles) = LaneEngine.run_counted(&sys, &golden, &faults);
-        for threads in [1, 2, 8] {
+        let (one, one_cycles) = TapeEngine::new(1).run_counted(&sys, &golden, &faults);
+        for threads in [2, 3, 8] {
             let (tape, tape_cycles) = TapeEngine::new(threads).run_counted(&sys, &golden, &faults);
-            assert_eq!(tape, lane, "threads = {threads}");
-            assert_eq!(tape_cycles, lane_cycles, "threads = {threads}");
+            assert_eq!(tape, one, "threads = {threads}");
+            assert_eq!(tape_cycles, one_cycles, "threads = {threads}");
         }
     }
 
     #[test]
     fn engine_kind_parses_cli_names() {
         assert_eq!(EngineKind::parse("serial", 4), Some(EngineKind::Serial));
-        assert_eq!(EngineKind::parse("lane", 4), Some(EngineKind::Lane));
-        assert_eq!(
-            EngineKind::parse("threaded", 4),
-            Some(EngineKind::Threaded(4))
-        );
         assert_eq!(EngineKind::parse("tape", 4), Some(EngineKind::Tape(4)));
         assert_eq!(
             EngineKind::parse("tape-wide", 4),
             Some(EngineKind::TapeWide(4))
         );
-        assert_eq!(EngineKind::parse("warp", 4), None);
-    }
-
-    #[test]
-    fn threaded_is_byte_identical_to_lane_at_any_thread_count() {
-        let (sys, golden, faults) = setup();
-        let lane = LaneEngine.run(&sys, &golden, &faults);
-        for threads in [1, 2, 3, 8] {
-            let threaded = ThreadedEngine::new(threads).run(&sys, &golden, &faults);
-            assert_eq!(threaded, lane, "threads = {threads}");
+        for retired in ["lane", "threaded", "warp"] {
+            assert_eq!(EngineKind::parse(retired, 4), None, "{retired}");
         }
     }
 
     #[test]
-    fn for_threads_degenerates_to_lane_at_one() {
-        assert_eq!(EngineKind::for_threads(1), EngineKind::Lane);
-        assert_eq!(EngineKind::for_threads(4), EngineKind::Threaded(4));
+    fn the_default_engine_is_the_tape_at_every_thread_count() {
+        assert_eq!(EngineKind::default(), EngineKind::Tape(1));
+        for threads in [0, 1, 2, 8] {
+            let kind = EngineKind::for_threads(threads);
+            assert_eq!(kind, EngineKind::Tape(threads));
+            assert_eq!(kind.build().kernel(), SimKernel::Tape);
+        }
+        assert_eq!(EngineKind::Serial.build().kernel(), SimKernel::Scalar);
     }
 
     #[test]
     fn campaign_reports_one_event_per_fault() {
         let (sys, golden, faults) = setup();
         let counters = sfr_exec::Counters::new();
-        let outcomes = run_campaign(&LaneEngine, &sys, &golden, &faults, &counters);
+        let outcomes = run_campaign(&TapeEngine::new(1), &sys, &golden, &faults, &counters);
         let snap = counters.snapshot();
         assert_eq!(snap.faults_simulated, faults.len());
         let detected = outcomes

@@ -12,7 +12,7 @@
 //!   collapsing;
 //! * a three-valued [cycle simulator](CycleSim) with fault injection and
 //!   switching-[`Activity`] accounting for toggle-count power estimation;
-//! * a 64-lane [parallel fault simulator](ParallelFaultSim) (lane 0
+//! * a compiled bit-parallel [fault simulator](TapeSim) (lane 0
 //!   fault-free, one fault per further lane) that is exact for sequential
 //!   circuits.
 //!
@@ -61,7 +61,6 @@ mod esim;
 mod fault;
 mod graph;
 mod logic;
-mod psim;
 mod sim;
 mod stats;
 mod tape;
@@ -78,11 +77,11 @@ pub use graph::{
     WIRE_CAP_PER_FANOUT_FF,
 };
 pub use logic::{logic_to_u64, u64_to_logic, Logic};
-pub use psim::{LaneActivity, ParallelFaultSim, PatVec, TooManyFaultsError, MAX_PARALLEL_FAULTS};
 pub use sim::{Activity, ActivityMismatch, CycleSim};
 pub use stats::{critical_path, NetlistStats};
 pub use tape::{
-    LaneCounts, Pat, TapeActivity, TapeProgram, TapeSim, TapeWord, MAX_WIDE_FAULTS, W256,
+    LaneCounts, Pat, TapeActivity, TapeProgram, TapeSim, TapeWord, TooManyFaultsError,
+    MAX_PARALLEL_FAULTS, MAX_WIDE_FAULTS, W256,
 };
 pub use vcd::VcdRecorder;
 pub use verilog::{

@@ -1,17 +1,25 @@
-//! Compiled levelized op-tape simulation kernel.
+//! Compiled levelized op-tape simulation kernel: the production
+//! bit-parallel fault simulator.
 //!
-//! The interpretive [`crate::ParallelFaultSim`] walks the netlist graph
-//! every cycle: per gate it re-reads the `CellKind`, re-scans the force
-//! lists for injected faults, and gathers operands through a scratch
-//! vector. This module compiles that walk away, in the style of the
-//! Berkeley Emulation Engine's statically scheduled gate streams: a
-//! netlist (plus one pack of stuck-at faults) is *levelized once* —
-//! reusing the topological order [`crate::Netlist::finish`] already
-//! computed — and emitted as a flat [`TapeOp`] instruction tape over
-//! contiguous value slots. Fault injection is baked in at compile time
-//! as dedicated force ops with per-lane masks, so the evaluator is a
-//! tight match-free-of-surprises loop: no `CellKind` dispatch, no force
-//! scans, no per-cycle allocation.
+//! Classic *parallel fault* simulation — lane 0 carries the fault-free
+//! circuit and every further lane carries one injected stuck-at fault.
+//! All lanes share the same primary-input stimulus, and sequential
+//! state diverges per lane naturally, so the scheme is exact for
+//! sequential circuits. Values are dual-rail ([`Pat`]): a lane can be
+//! `0`, `1`, or `X` (neither rail set), preserving the three-valued
+//! semantics of [`crate::CycleSim`].
+//!
+//! Rather than walking the netlist graph every cycle — re-reading each
+//! gate's `CellKind`, re-scanning force lists for injected faults, and
+//! gathering operands through a scratch vector — the kernel compiles
+//! that walk away, in the style of the Berkeley Emulation Engine's
+//! statically scheduled gate streams: a netlist (plus one pack of
+//! stuck-at faults) is *levelized once* — reusing the topological order
+//! [`crate::Netlist::finish`] already computed — and emitted as a flat
+//! [`TapeOp`] instruction tape over contiguous value slots. Fault
+//! injection is baked in at compile time as dedicated force ops with
+//! per-lane masks, so the evaluator is a tight loop: no `CellKind`
+//! dispatch, no force scans, no per-cycle allocation.
 //!
 //! On top of the tape, the kernel is generic over the lane word
 //! ([`TapeWord`]): `u64` gives the classic 63-faults-plus-baseline
@@ -19,21 +27,44 @@
 //! compiler auto-vectorizes to 256-bit SIMD on targets that have it —
 //! grades 255 faults plus the lane-0 baseline in one Monte Carlo pass.
 //!
-//! Every lane is an exact dual-rail three-valued simulation with the
-//! same semantics as [`crate::CycleSim`] / [`crate::ParallelFaultSim`]:
-//! values, detection masks, and per-lane switching activity are
-//! bit-identical to the interpretive engines for the same circuit,
-//! faults, and stimulus (property-tested in `tests/proptests.rs`).
+//! Every lane is bit-identical to a scalar [`crate::CycleSim`] run of
+//! that lane's circuit: values, detection verdicts, and per-lane
+//! switching activity (property-tested in `tests/proptests.rs`).
 
 use crate::fault::{FaultSite, StuckAt};
 use crate::graph::{GateId, NetId, Netlist};
 use crate::logic::Logic;
-use crate::psim::TooManyFaultsError;
 use crate::sim::Activity;
+
+/// Maximum faults in one `u64` tape pack (lane 0 is the fault-free
+/// reference).
+pub const MAX_PARALLEL_FAULTS: usize = 63;
 
 /// Maximum faults in one wide ([`W256`]) tape pack (lane 0 is the
 /// fault-free reference).
 pub const MAX_WIDE_FAULTS: usize = 255;
+
+/// Error returned when a pack holds more faults than its word has
+/// fault lanes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TooManyFaultsError {
+    /// Number of faults requested.
+    pub requested: usize,
+    /// Fault lanes the word carries.
+    pub limit: usize,
+}
+
+impl std::fmt::Display for TooManyFaultsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} faults requested, at most {} fit in one parallel batch",
+            self.requested, self.limit
+        )
+    }
+}
+
+impl std::error::Error for TooManyFaultsError {}
 
 /// A machine word carrying one simulation lane per bit.
 ///
@@ -248,9 +279,8 @@ impl TapeWord for W256 {
     }
 }
 
-/// A dual-rail logic word over `W::LANES` lanes — the generic analogue
-/// of [`crate::PatVec`]. Invariant: `lo & hi == 0`; a lane with neither
-/// bit set is `X`.
+/// A dual-rail logic word over `W::LANES` lanes. Invariant:
+/// `lo & hi == 0`; a lane with neither bit set is `X`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Pat<W> {
     /// Lanes that are definitely 0.
@@ -495,8 +525,8 @@ enum SeqOp {
 /// emitted in dependency order, sequential state lives in dedicated
 /// slots presented to output nets at the head of the tape, and every
 /// fault in the pack becomes a [`TapeOp::Force`] patched into the
-/// exact spot the interpretive simulator would have applied it (input
-/// pins before the consuming gate, outputs after the driving gate,
+/// exact spot the scalar [`crate::CycleSim`] applies it (input pins
+/// before the consuming gate, outputs after the driving gate,
 /// primary-input stems at the head). Compiling is one linear pass —
 /// trivially cheap next to the thousands of cycles a pack simulates.
 #[derive(Debug, Clone)]
@@ -533,15 +563,15 @@ impl<W: TapeWord> TapeProgram<W> {
         if faults.len() > W::LANES - 1 {
             return Err(TooManyFaultsError {
                 requested: faults.len(),
+                limit: W::LANES - 1,
             });
         }
         let n_nets = nl.net_count();
         let n_gates = nl.gate_count();
         let mut masks = Vec::with_capacity(faults.len());
         let mut vals = Vec::with_capacity(faults.len());
-        // Force sites in fault-enumeration order — the same order the
-        // interpretive simulator scans its force lists, so chained
-        // forces on one site resolve identically.
+        // Force sites in fault-enumeration order, so chained forces on
+        // one site resolve deterministically.
         let mut pin_forces: Vec<(GateId, usize, u32)> = Vec::new();
         let mut out_forces: Vec<(GateId, u32)> = Vec::new();
         let mut pi_forces: Vec<(NetId, u32)> = Vec::new();
@@ -755,8 +785,7 @@ impl<W: TapeWord> TapeProgram<W> {
     }
 }
 
-/// Per-lane switching-activity counters for a [`TapeSim`] — the
-/// wide-word generalization of [`crate::LaneActivity`].
+/// Per-lane switching-activity counters for a [`TapeSim`].
 ///
 /// Counters are kept as *deltas against lane 0*: a fault lane toggles
 /// exactly like the fault-free lane on almost every net in almost every
@@ -1028,7 +1057,7 @@ impl<W: TapeWord> TapeActivity<W> {
 /// The tape evaluator: runs a [`TapeProgram`] cycle by cycle with zero
 /// per-cycle allocation.
 ///
-/// The call discipline mirrors [`crate::ParallelFaultSim`]: set inputs,
+/// The call discipline mirrors [`crate::CycleSim`]: set inputs,
 /// [`eval`](Self::eval), read values/masks, [`clock`](Self::clock).
 #[derive(Debug, Clone)]
 pub struct TapeSim<'p, W: TapeWord> {
@@ -1286,8 +1315,8 @@ impl<'p, W: TapeWord> TapeSim<'p, W> {
 
     /// Advances sequential state one clock edge in all lanes, recording
     /// activity when tracking is enabled. Per cycle and per lane the
-    /// accounting matches [`crate::ParallelFaultSim::clock`] (and hence
-    /// the scalar [`crate::CycleSim`]) exactly.
+    /// accounting matches the scalar [`crate::CycleSim::clock`]
+    /// exactly.
     pub fn clock(&mut self) {
         let live = self.live_lanes_mask();
         let mut act = self.activity.take();
@@ -1463,7 +1492,6 @@ mod tests {
     use crate::cell::CellKind;
     use crate::graph::NetlistBuilder;
     use crate::logic::Logic::{One, Zero, X};
-    use crate::psim::ParallelFaultSim;
     use crate::sim::CycleSim;
 
     #[test]
@@ -1510,8 +1538,7 @@ mod tests {
         check::<W256>(200);
     }
 
-    /// Small sequential circuit: enabled register + inverter cloud —
-    /// the same shape psim's unit tests use.
+    /// Small sequential circuit: enabled register + inverter cloud.
     fn build() -> Netlist {
         let mut b = NetlistBuilder::new("seq");
         let d = b.input("d");
@@ -1525,17 +1552,22 @@ mod tests {
         b.finish().expect("valid")
     }
 
-    #[test]
-    fn tape_agrees_with_interpretive_parallel_sim() {
-        let nl = build();
-        let faults = StuckAt::enumerate_collapsed(&nl);
-        let prog = TapeProgram::<u64>::compile(&nl, &faults).expect("fits");
+    /// Runs `faults` on a `W` tape and one scalar [`CycleSim`] per lane
+    /// over the same stimulus, and asserts that every net value, both
+    /// detection masks, and every lane's activity agree.
+    fn assert_lanes_match_scalar<W: TapeWord>(nl: &Netlist, faults: &[StuckAt]) {
+        let prog = TapeProgram::<W>::compile(nl, faults).expect("fits");
         let mut tape = TapeSim::new(&prog);
-        let mut psim = ParallelFaultSim::new(&nl, &faults).expect("fits");
-        tape.reset_state(Zero);
-        psim.reset_state(Zero);
         tape.track_activity(true);
-        psim.track_activity(true);
+        tape.reset_state(Zero);
+        let mut scalars: Vec<CycleSim> = std::iter::once(CycleSim::new(nl))
+            .chain(faults.iter().map(|&f| CycleSim::with_fault(nl, f)))
+            .map(|mut s| {
+                s.track_activity(true);
+                s.reset_state(Zero);
+                s
+            })
+            .collect();
         let stim = [
             [One, Zero],
             [One, One],
@@ -1546,29 +1578,51 @@ mod tests {
         ];
         for inputs in stim {
             tape.set_inputs(&inputs);
-            psim.set_inputs(&inputs);
             tape.eval();
-            psim.eval();
-            for net in nl.net_ids() {
-                let t = tape.value(net);
-                let p = psim.value(net);
-                assert_eq!((t.lo, t.hi), (p.lo, p.hi), "net {}", nl.net(net).name());
+            for s in &mut scalars {
+                s.set_inputs(&inputs);
+                s.eval();
             }
-            assert_eq!(tape.detected_mask(), psim.detected_mask());
-            assert_eq!(
-                tape.potentially_detected_mask(),
-                psim.potentially_detected_mask()
-            );
+            let golden = scalars[0].outputs();
+            let (mut detected, mut potential) = (W::ZERO, W::ZERO);
+            for (lane, s) in scalars.iter().enumerate() {
+                for net in nl.net_ids() {
+                    assert_eq!(
+                        tape.value(net).lane(lane),
+                        s.value(net),
+                        "lane {lane} net {}",
+                        nl.net(net).name()
+                    );
+                }
+                let outs = s.outputs();
+                let pairs = || outs.iter().zip(&golden);
+                if lane > 0 && pairs().any(|(got, want)| got.definitely_differs(*want)) {
+                    detected = detected.or(W::mask(lane));
+                }
+                if lane > 0 && pairs().any(|(got, want)| want.is_known() && !got.is_known()) {
+                    potential = potential.or(W::mask(lane));
+                }
+            }
+            assert_eq!(tape.detected_mask(), detected);
+            assert_eq!(tape.potentially_detected_mask(), potential);
             tape.clock();
-            psim.clock();
+            for s in &mut scalars {
+                s.clock();
+            }
         }
-        for lane in 0..tape.lanes() {
-            let t = tape.lane_activity(lane);
-            let p = psim.lane_activity(lane);
-            assert_eq!(t.net_toggles, p.net_toggles, "lane {lane}");
-            assert_eq!(t.clock_events, p.clock_events, "lane {lane}");
-            assert_eq!(t.cycles, p.cycles, "lane {lane}");
+        for (lane, s) in scalars.iter().enumerate() {
+            let got = tape.lane_activity(lane);
+            let want = s.activity();
+            assert_eq!(got.cycles, want.cycles, "lane {lane}");
+            assert_eq!(&got.net_toggles, &want.net_toggles, "lane {lane}");
+            assert_eq!(&got.clock_events, &want.clock_events, "lane {lane}");
         }
+    }
+
+    #[test]
+    fn tape_lanes_agree_with_scalar_simulation() {
+        let nl = build();
+        assert_lanes_match_scalar::<u64>(&nl, &StuckAt::enumerate_collapsed(&nl));
     }
 
     #[test]
@@ -1583,44 +1637,31 @@ mod tests {
             .take(base.len().clamp(80, MAX_WIDE_FAULTS))
             .copied()
             .collect();
-        let prog = TapeProgram::<W256>::compile(&nl, &faults).expect("fits");
-        let mut tape = TapeSim::new(&prog);
-        tape.track_activity(true);
-        tape.reset_state(Zero);
-        let mut scalars: Vec<CycleSim> = std::iter::once(CycleSim::new(&nl))
-            .chain(faults.iter().map(|&f| CycleSim::with_fault(&nl, f)))
-            .map(|mut s| {
-                s.track_activity(true);
-                s.reset_state(Zero);
-                s
-            })
-            .collect();
-        let stim = [[One, Zero], [Zero, One], [One, One], [X, One], [Zero, X]];
-        for inputs in stim {
-            tape.set_inputs(&inputs);
-            tape.eval();
-            for (lane, s) in scalars.iter_mut().enumerate() {
-                s.set_inputs(&inputs);
-                s.eval();
-                for net in nl.net_ids() {
-                    assert_eq!(
-                        tape.value(net).lane(lane),
-                        s.value(net),
-                        "lane {lane} net {}",
-                        nl.net(net).name()
-                    );
-                }
-                s.clock();
-            }
-            tape.clock();
-        }
-        for (lane, s) in scalars.iter().enumerate() {
-            let got = tape.lane_activity(lane);
-            let want = s.activity();
-            assert_eq!(got.cycles, want.cycles, "lane {lane}");
-            assert_eq!(&got.net_toggles, &want.net_toggles, "lane {lane}");
-            assert_eq!(&got.clock_events, &want.clock_events, "lane {lane}");
-        }
+        assert_lanes_match_scalar::<W256>(&nl, &faults);
+    }
+
+    #[test]
+    fn lane_reads_are_checked() {
+        let nl = build();
+        let prog = TapeProgram::<u64>::compile(&nl, &[]).expect("fits");
+        let mut sim = TapeSim::new(&prog);
+        // Tracking disabled: the fallible read reports None instead of
+        // panicking.
+        assert!(sim.try_lane_activity(0).is_none());
+        sim.track_activity(true);
+        sim.reset_state(Zero);
+        assert!(sim.try_lane_activity(0).is_some());
+        assert!(sim.try_lane_activity(1).is_none(), "only lane 0 exists");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn lane_out_of_range_panics_descriptively() {
+        let nl = build();
+        let prog = TapeProgram::<u64>::compile(&nl, &[]).expect("fits");
+        let mut sim = TapeSim::new(&prog);
+        sim.track_activity(true);
+        sim.lane_activity(1);
     }
 
     #[test]

@@ -3,7 +3,10 @@
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
-use sfr_netlist::{CellKind, CycleSim, Logic, Netlist, NetlistBuilder, ParallelFaultSim, StuckAt};
+use sfr_netlist::{
+    CellKind, CycleSim, Logic, Netlist, NetlistBuilder, StuckAt, TapeProgram, TapeSim, TapeWord,
+    W256,
+};
 
 /// A fixed small sequential circuit with reconvergent fanout and a
 /// gated register — rich enough to exercise every simulator path.
@@ -29,43 +32,6 @@ fn logic_of(bits: u8, i: usize) -> Logic {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Every lane of the parallel fault simulator reproduces the serial
-    /// simulator with that fault injected, over arbitrary stimulus.
-    #[test]
-    fn parallel_lanes_equal_serial_runs(stimulus in proptest::collection::vec(0u8..8, 1..30)) {
-        let nl = circuit();
-        let faults = StuckAt::enumerate_collapsed(&nl);
-        let batch: Vec<StuckAt> = faults.into_iter().take(63).collect();
-        let mut psim = ParallelFaultSim::new(&nl, &batch).expect("fits");
-        psim.reset_state(Logic::Zero);
-        let mut serials: Vec<CycleSim> = batch
-            .iter()
-            .map(|&f| {
-                let mut s = CycleSim::with_fault(&nl, f);
-                s.reset_state(Logic::Zero);
-                s
-            })
-            .collect();
-        for &bits in &stimulus {
-            let inputs = [logic_of(bits, 0), logic_of(bits, 1), logic_of(bits, 2)];
-            psim.set_inputs(&inputs);
-            psim.eval();
-            for (i, s) in serials.iter_mut().enumerate() {
-                s.set_inputs(&inputs);
-                s.eval();
-                for net in nl.net_ids() {
-                    prop_assert_eq!(
-                        psim.value(net).lane(i + 1),
-                        s.value(net),
-                        "fault {} net {}", batch[i], nl.net(net).name()
-                    );
-                }
-                s.clock();
-            }
-            psim.clock();
-        }
-    }
 
     /// Injecting a stuck-at fault and driving the node to the stuck
     /// value yields exactly the fault-free circuit (fault masking).
@@ -215,58 +181,84 @@ fn random_seq(seed: u64) -> Netlist {
     b.finish().expect("valid random sequential netlist")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Per-lane toggle and clock-event counts extracted from the parallel
-    /// simulator's bit-plane counters are bit-identical to what a scalar
-    /// `CycleSim` records for the same circuit, fault, and stimulus —
-    /// over random netlists, random fault packings, and random stimulus.
-    #[test]
-    fn lane_activity_equals_scalar_activity(
-        seed in 1u64..3000,
-        rot in any::<u64>(),
-        stimulus in proptest::collection::vec(0u8..8, 1..24),
-    ) {
-        let nl = random_seq(seed);
-        let all = StuckAt::enumerate_collapsed(&nl);
-        // A random packing: rotate the collapsed fault list and take up
-        // to a full 63-fault batch.
-        let start = (rot as usize) % all.len();
-        let batch: Vec<StuckAt> = all
-            .iter()
-            .cycle()
-            .skip(start)
-            .take(all.len().min(63))
-            .copied()
-            .collect();
-        let mut psim = ParallelFaultSim::new(&nl, &batch).expect("fits");
-        psim.track_activity(true);
-        psim.reset_state(Logic::Zero);
-        let mut scalars: Vec<CycleSim> = std::iter::once(CycleSim::new(&nl))
-            .chain(batch.iter().map(|&f| CycleSim::with_fault(&nl, f)))
-            .map(|mut s| {
-                s.track_activity(true);
-                s.reset_state(Logic::Zero);
-                s
-            })
-            .collect();
-        for &bits in &stimulus {
-            let inputs = [logic_of(bits, 0), logic_of(bits, 1), logic_of(bits, 2)];
-            psim.set_inputs(&inputs);
-            psim.eval();
-            psim.clock();
-            for s in scalars.iter_mut() {
-                s.step(&inputs);
+/// Runs `batch` on a `W` tape and one scalar `CycleSim` per lane (lane
+/// 0 fault-free) over `stimulus`, asserting that every net value on
+/// every lane every cycle, both detection masks, and each lane's
+/// extracted toggle and clock-event counts agree.
+fn tape_matches_scalar<W: TapeWord>(
+    nl: &Netlist,
+    batch: &[StuckAt],
+    stimulus: &[u8],
+) -> Result<(), TestCaseError> {
+    let prog = TapeProgram::<W>::compile(nl, batch).expect("fits");
+    let mut tape = TapeSim::new(&prog);
+    tape.track_activity(true);
+    tape.reset_state(Logic::Zero);
+    let mut scalars: Vec<CycleSim> = std::iter::once(CycleSim::new(nl))
+        .chain(batch.iter().map(|&f| CycleSim::with_fault(nl, f)))
+        .map(|mut s| {
+            s.track_activity(true);
+            s.reset_state(Logic::Zero);
+            s
+        })
+        .collect();
+    for &bits in stimulus {
+        let inputs = [logic_of(bits, 0), logic_of(bits, 1), logic_of(bits, 2)];
+        tape.set_inputs(&inputs);
+        tape.eval();
+        for s in scalars.iter_mut() {
+            s.set_inputs(&inputs);
+            s.eval();
+        }
+        let golden = scalars[0].outputs();
+        let (mut detected, mut potential) = (W::ZERO, W::ZERO);
+        for (lane, s) in scalars.iter().enumerate() {
+            for net in nl.net_ids() {
+                prop_assert_eq!(
+                    tape.value(net).lane(lane),
+                    s.value(net),
+                    "net {} lane {}",
+                    nl.net(net).name(),
+                    lane
+                );
+            }
+            let outs = s.outputs();
+            let pairs = || outs.iter().zip(&golden);
+            if lane > 0 && pairs().any(|(got, want)| got.definitely_differs(*want)) {
+                detected = detected.or(W::mask(lane));
+            }
+            if lane > 0 && pairs().any(|(got, want)| want.is_known() && !got.is_known()) {
+                potential = potential.or(W::mask(lane));
             }
         }
-        for (lane, s) in scalars.iter().enumerate() {
-            let got = psim.lane_activity(lane);
-            let want = s.activity();
-            prop_assert_eq!(got.cycles, want.cycles, "lane {}", lane);
-            prop_assert_eq!(&got.net_toggles, &want.net_toggles, "lane {}", lane);
-            prop_assert_eq!(&got.clock_events, &want.clock_events, "lane {}", lane);
+        prop_assert_eq!(tape.detected_mask(), detected);
+        prop_assert_eq!(tape.potentially_detected_mask(), potential);
+        tape.clock();
+        for s in scalars.iter_mut() {
+            s.clock();
         }
+    }
+    for (lane, s) in scalars.iter().enumerate() {
+        let got = tape.lane_activity(lane);
+        let want = s.activity();
+        prop_assert_eq!(got.cycles, want.cycles, "lane {}", lane);
+        prop_assert_eq!(&got.net_toggles, &want.net_toggles, "lane {}", lane);
+        prop_assert_eq!(&got.clock_events, &want.clock_events, "lane {}", lane);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every lane of the compiled tape reproduces the scalar simulator
+    /// with that lane's fault injected, on the fixed reconvergent
+    /// circuit over arbitrary stimulus.
+    #[test]
+    fn tape_lanes_equal_serial_runs(stimulus in proptest::collection::vec(0u8..8, 1..30)) {
+        let nl = circuit();
+        let batch: Vec<StuckAt> = StuckAt::enumerate_collapsed(&nl).into_iter().take(63).collect();
+        tape_matches_scalar::<u64>(&nl, &batch, &stimulus)?;
     }
 }
 
@@ -379,20 +371,20 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The compiled op tape reproduces the interpretive parallel
-    /// simulator bit-for-bit — every net value on every lane every
-    /// cycle, the detection masks, and each lane's extracted activity —
-    /// over random netlists, random fault packings, and random
-    /// stimulus.
+    /// The compiled op tape reproduces the scalar simulator bit-for-bit
+    /// — every net value on every lane every cycle, the detection masks,
+    /// and each lane's extracted activity — over random netlists,
+    /// random fault packings, and random stimulus.
     #[test]
-    fn tape_values_and_activity_equal_parallel_sim(
+    fn tape_values_and_activity_equal_scalar_runs(
         seed in 1u64..3000,
         rot in any::<u64>(),
         stimulus in proptest::collection::vec(0u8..8, 1..24),
     ) {
-        use sfr_netlist::{TapeProgram, TapeSim};
         let nl = random_seq(seed);
         let all = StuckAt::enumerate_collapsed(&nl);
+        // A random packing: rotate the collapsed fault list and take up
+        // to a full 63-fault batch.
         let start = (rot as usize) % all.len();
         let batch: Vec<StuckAt> = all
             .iter()
@@ -401,43 +393,7 @@ proptest! {
             .take(all.len().min(63))
             .copied()
             .collect();
-        let prog = TapeProgram::<u64>::compile(&nl, &batch).expect("fits");
-        let mut tape = TapeSim::new(&prog);
-        tape.track_activity(true);
-        tape.reset_state(Logic::Zero);
-        let mut psim = ParallelFaultSim::new(&nl, &batch).expect("fits");
-        psim.track_activity(true);
-        psim.reset_state(Logic::Zero);
-        for &bits in &stimulus {
-            let inputs = [logic_of(bits, 0), logic_of(bits, 1), logic_of(bits, 2)];
-            tape.set_inputs(&inputs);
-            tape.eval();
-            psim.set_inputs(&inputs);
-            psim.eval();
-            for net in nl.net_ids() {
-                for lane in 0..=batch.len() {
-                    prop_assert_eq!(
-                        tape.value(net).lane(lane),
-                        psim.value(net).lane(lane),
-                        "net {} lane {}", nl.net(net).name(), lane
-                    );
-                }
-            }
-            prop_assert_eq!(tape.detected_mask(), psim.detected_mask());
-            prop_assert_eq!(
-                tape.potentially_detected_mask(),
-                psim.potentially_detected_mask()
-            );
-            tape.clock();
-            psim.clock();
-        }
-        for lane in 0..=batch.len() {
-            let got = tape.lane_activity(lane);
-            let want = psim.lane_activity(lane);
-            prop_assert_eq!(got.cycles, want.cycles, "lane {}", lane);
-            prop_assert_eq!(&got.net_toggles, &want.net_toggles, "lane {}", lane);
-            prop_assert_eq!(&got.clock_events, &want.clock_events, "lane {}", lane);
-        }
+        tape_matches_scalar::<u64>(&nl, &batch, &stimulus)?;
     }
 }
 
@@ -445,69 +401,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// A wide (256-bit) tape packing more faults than one 64-lane word
-    /// can hold agrees with the interpretive simulator run chunk by
-    /// chunk: wide lane `1 + chunk_start + i` matches the chunk's lane
-    /// `1 + i`, and the shared lane 0 matches everywhere.
+    /// can hold reproduces the scalar simulator on every lane.
     #[test]
-    fn wide_tape_lanes_equal_narrow_parallel_chunks(
+    fn wide_tape_lanes_equal_scalar_runs(
         seed in 1u64..3000,
         stimulus in proptest::collection::vec(0u8..8, 1..12),
     ) {
-        use sfr_netlist::{TapeProgram, TapeSim, W256};
         let nl = random_seq(seed);
         let all = StuckAt::enumerate_collapsed(&nl);
         // Cycle the fault list to fill well past one 64-lane word.
         let batch: Vec<StuckAt> = all.iter().cycle().take(100).copied().collect();
-        let prog = TapeProgram::<W256>::compile(&nl, &batch).expect("fits");
-        let mut wide = TapeSim::new(&prog);
-        wide.track_activity(true);
-        wide.reset_state(Logic::Zero);
-        let mut chunks: Vec<(usize, ParallelFaultSim)> = batch
-            .chunks(63)
-            .enumerate()
-            .map(|(c, chunk)| {
-                let mut p = ParallelFaultSim::new(&nl, chunk).expect("fits");
-                p.track_activity(true);
-                p.reset_state(Logic::Zero);
-                (c * 63, p)
-            })
-            .collect();
-        for &bits in &stimulus {
-            let inputs = [logic_of(bits, 0), logic_of(bits, 1), logic_of(bits, 2)];
-            wide.set_inputs(&inputs);
-            wide.eval();
-            for (start, p) in chunks.iter_mut() {
-                p.set_inputs(&inputs);
-                p.eval();
-                for net in nl.net_ids() {
-                    let v = p.value(net);
-                    prop_assert_eq!(
-                        wide.value(net).lane(0),
-                        v.lane(0),
-                        "baseline, net {}", nl.net(net).name()
-                    );
-                    for i in 0..p.faults().len() {
-                        prop_assert_eq!(
-                            wide.value(net).lane(1 + *start + i),
-                            v.lane(1 + i),
-                            "net {} chunk lane {}", nl.net(net).name(), i
-                        );
-                    }
-                }
-            }
-            wide.clock();
-            for (_, p) in chunks.iter_mut() {
-                p.clock();
-            }
-        }
-        for (start, p) in &chunks {
-            for i in 0..p.faults().len() {
-                let got = wide.lane_activity(1 + start + i);
-                let want = p.lane_activity(1 + i);
-                prop_assert_eq!(got.cycles, want.cycles);
-                prop_assert_eq!(&got.net_toggles, &want.net_toggles);
-                prop_assert_eq!(&got.clock_events, &want.clock_events);
-            }
-        }
+        tape_matches_scalar::<W256>(&nl, &batch, &stimulus)?;
     }
 }

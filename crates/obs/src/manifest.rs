@@ -65,15 +65,15 @@ pub struct ProfileSection {
     pub pack_max_us: u64,
     /// Monte Carlo batches simulated across the whole run.
     pub mc_batches: usize,
-    /// Compiled tape ops per pack (0 on the interpretive engine).
+    /// Compiled tape ops per pack (0 on the scalar engine).
     pub tape_ops: usize,
-    /// Tape levelization depth (0 on the interpretive engine).
+    /// Tape levelization depth (0 on the scalar engine).
     pub tape_levels: usize,
-    /// Fault-injection force ops per pack (0 on the interpretive
+    /// Fault-injection force ops per pack (0 on the scalar
     /// engine).
     pub tape_force_ops: usize,
     /// Delta-sweep dirty net-column share of the final Monte Carlo
-    /// batch, percent (0 on the interpretive engine).
+    /// batch, percent (0 on the scalar engine).
     pub tape_sparsity_pct: f64,
 }
 
@@ -95,7 +95,7 @@ pub struct RunManifest {
     /// Key configuration facts (`seed`, `patterns`, `mc_tolerance`,
     /// …) as rendered strings, for humans diffing two manifests.
     pub config: Vec<(String, String)>,
-    /// Engine label (`"lane"`).
+    /// Engine label (`"tape"`).
     pub engine: String,
     /// Worker thread count.
     pub threads: usize,
@@ -317,7 +317,7 @@ mod tests {
                 ("test_seed".into(), "7".into()),
                 ("grade_seed".into(), "11".into()),
             ],
-            engine: "lane".into(),
+            engine: "tape".into(),
             threads: 2,
             tallies: Tallies {
                 total: 844,

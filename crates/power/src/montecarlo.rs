@@ -170,8 +170,7 @@ where
 
 /// Runs one Monte Carlo estimation per simulation lane off a shared
 /// batch stream: `batch(i)` must simulate batch `i` once for **all**
-/// `lanes` lanes (e.g. one 63-fault [`sfr_netlist::ParallelFaultSim`]
-/// pass) and return one [`PowerReport`] per lane.
+/// `lanes` lanes (e.g. one 63-fault [`sfr_netlist::TapeSim`] pass) and return one [`PowerReport`] per lane.
 ///
 /// Each lane's stopping rule is the serial [`run_monte_carlo`] rule
 /// replayed over that lane's own sample prefix, so lane `l`'s

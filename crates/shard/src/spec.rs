@@ -60,8 +60,6 @@ pub struct ShardSpec {
 fn engine_parts(engine: EngineKind) -> (&'static str, usize) {
     match engine {
         EngineKind::Serial => ("serial", 1),
-        EngineKind::Lane => ("lane", 1),
-        EngineKind::Threaded(n) => ("threaded", n),
         EngineKind::Tape(n) => ("tape", n),
         EngineKind::TapeWide(n) => ("tape-wide", n),
     }
@@ -262,12 +260,25 @@ mod tests {
     fn parse_rejects_garbage() {
         assert!(ShardSpec::parse("").is_err());
         assert!(ShardSpec::parse("bench poly").is_err());
-        assert!(ShardSpec::parse("bench=poly\nwidth=4\nmystery=1\nengine=lane\n").is_err());
+        assert!(ShardSpec::parse("bench=poly\nwidth=4\nmystery=1\nengine=tape\n").is_err());
         assert!(
-            ShardSpec::parse("bench=poly\nwidth=4\nwidth=4\nengine=lane\n").is_err(),
+            ShardSpec::parse("bench=poly\nwidth=4\nwidth=4\nengine=tape\n").is_err(),
             "duplicate field"
         );
         assert!(ShardSpec::parse("bench=poly\nwidth=4\nengine=warp\n").is_err());
+    }
+
+    #[test]
+    fn the_default_engine_is_the_tape_and_retired_engines_are_refused() {
+        let spec = ShardSpec::new("poly", 4);
+        assert_eq!(spec.engine, EngineKind::Tape(1));
+        for retired in ["lane", "threaded"] {
+            let text = spec
+                .to_text()
+                .replace("engine=tape\n", &format!("engine={retired}\n"));
+            let err = ShardSpec::parse(&text).unwrap_err();
+            assert!(err.contains(retired), "{err}");
+        }
     }
 
     #[test]

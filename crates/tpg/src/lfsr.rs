@@ -44,16 +44,27 @@ const TAPS: [u32; 30] = [
     0x48000000, // 31: x^31 + x^28 + 1
 ];
 
-/// Error constructing an [`Lfsr`] with an unsupported width.
+/// Error constructing an [`Lfsr`] or a pattern word with an unsupported
+/// width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnsupportedWidthError {
+    /// What the width sizes (`"LFSR"` or `"pattern"`).
+    pub what: &'static str,
     /// The requested width.
     pub width: usize,
+    /// The narrowest supported width.
+    pub min: usize,
+    /// The widest supported width.
+    pub max: usize,
 }
 
 impl fmt::Display for UnsupportedWidthError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "LFSR width {} unsupported (need 2..=32)", self.width)
+        write!(
+            f,
+            "{} width {} unsupported (need {}..={} bits)",
+            self.what, self.width, self.min, self.max
+        )
     }
 }
 
@@ -98,7 +109,12 @@ impl Lfsr {
     /// Returns [`UnsupportedWidthError`] unless `2 <= width <= 32`.
     pub fn new(width: usize, seed: u32) -> Result<Self, UnsupportedWidthError> {
         if !(2..=32).contains(&width) {
-            return Err(UnsupportedWidthError { width });
+            return Err(UnsupportedWidthError {
+                what: "LFSR",
+                width,
+                min: 2,
+                max: 32,
+            });
         }
         let taps = if width == 32 {
             0x8020_0003

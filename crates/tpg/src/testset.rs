@@ -40,14 +40,21 @@ impl TestSet {
     ///
     /// # Errors
     ///
-    /// Returns [`UnsupportedWidthError`] if the internal LFSR width (16)
-    /// were unsupported — in practice this never fails, but the error is
-    /// surfaced rather than unwrapped.
+    /// Returns [`UnsupportedWidthError`] if `width` exceeds the 64 bits
+    /// of a pattern word.
     pub fn pseudorandom(
         width: usize,
         count: usize,
         seed: u32,
     ) -> Result<Self, UnsupportedWidthError> {
+        if width > 64 {
+            return Err(UnsupportedWidthError {
+                what: "pattern",
+                width,
+                min: 0,
+                max: 64,
+            });
+        }
         let mut lfsr = Lfsr::new(16, seed)?;
         let patterns = (0..count).map(|_| lfsr.next_word(width)).collect();
         Ok(TestSet {
@@ -144,6 +151,19 @@ mod tests {
         assert_eq!(a, b);
         let c = TestSet::pseudorandom(4, 100, 0x5EED).unwrap();
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn patterns_wider_than_a_word_are_rejected() {
+        assert!(TestSet::pseudorandom(64, 10, 7).is_ok());
+        let err = TestSet::pseudorandom(65, 10, 7).unwrap_err();
+        assert_eq!(err.width, 65);
+        assert_eq!(err.max, 64);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("pattern width 65") && msg.contains("64"),
+            "{msg}"
+        );
     }
 
     #[test]

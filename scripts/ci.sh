@@ -23,8 +23,8 @@ fi
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test =="
-cargo test -q
+echo "== cargo test (workspace) =="
+cargo test --workspace -q
 
 echo "== sfr lint (all benchmarks must be error-free) =="
 SFR=target/release/sfr
@@ -53,30 +53,32 @@ done
 rm -rf "$PRUNE_DIR"
 echo "   pruned grade tables are byte-identical at 1/2/8 threads"
 
-echo "== tape kernel equivalence (diffeq, --engine tape / tape-wide) =="
+echo "== tape kernel equivalence (diffeq, default tape / tape-wide vs --engine serial) =="
 TAPE_DIR="$(mktemp -d)"
 # The manifest fingerprint covers only deterministic fields, so it must
-# match across engines, as must the grade table on stdout.
+# match across engines, as must the grade table on stdout. The reference
+# is the scalar engine: one CycleSim per fault in the campaign and per
+# lane in grading.
 manifest_fp() { sed -n 's/.*"fingerprint": "\(0x[0-9a-f]*\)".*/\1/p' "$1"; }
-"$SFR" grade diffeq --patterns 600 \
-    --manifest-out "$TAPE_DIR/lane-manifest.json" --quiet \
-    > "$TAPE_DIR/lane.out" 2>/dev/null
+"$SFR" grade diffeq --patterns 600 --engine serial \
+    --manifest-out "$TAPE_DIR/serial-manifest.json" --quiet \
+    > "$TAPE_DIR/serial.out" 2>/dev/null
 for t in 1 2 8; do
-    "$SFR" grade diffeq --patterns 600 --engine tape --threads "$t" \
+    "$SFR" grade diffeq --patterns 600 --threads "$t" \
         --manifest-out "$TAPE_DIR/tape-$t-manifest.json" --quiet \
         > "$TAPE_DIR/tape-$t.out" 2>/dev/null
-    diff "$TAPE_DIR/lane.out" "$TAPE_DIR/tape-$t.out"
-    [ "$(manifest_fp "$TAPE_DIR/lane-manifest.json")" = \
+    diff "$TAPE_DIR/serial.out" "$TAPE_DIR/tape-$t.out"
+    [ "$(manifest_fp "$TAPE_DIR/serial-manifest.json")" = \
       "$(manifest_fp "$TAPE_DIR/tape-$t-manifest.json")" ]
 done
 "$SFR" grade diffeq --patterns 600 --engine tape-wide --threads 2 \
     --manifest-out "$TAPE_DIR/tape-wide-manifest.json" --quiet \
     > "$TAPE_DIR/tape-wide.out" 2>/dev/null
-diff "$TAPE_DIR/lane.out" "$TAPE_DIR/tape-wide.out"
-[ "$(manifest_fp "$TAPE_DIR/lane-manifest.json")" = \
+diff "$TAPE_DIR/serial.out" "$TAPE_DIR/tape-wide.out"
+[ "$(manifest_fp "$TAPE_DIR/serial-manifest.json")" = \
   "$(manifest_fp "$TAPE_DIR/tape-wide-manifest.json")" ]
 rm -rf "$TAPE_DIR"
-echo "   tape grade tables and manifest fingerprints match interpretive at 1/2/8 threads (and tape-wide)"
+echo "   tape grade tables and manifest fingerprints match the scalar reference at 1/2/8 threads (and tape-wide)"
 
 echo "== observability equivalence (diffeq: trace + metrics + manifest) =="
 OBS_DIR="$(mktemp -d)"
@@ -237,14 +239,17 @@ for bench in diffeq facet poly fir; do
     [ "$pct" -ge 20 ]
     echo "   $bench: collapsed tables and fingerprints match at 1/2/8 threads; analyze reduction ${pct}%"
 done
-# Collapsing composes with the compiled engines.
-"$SFR" grade poly --patterns 240 --collapse --engine tape --threads 2 --quiet \
+# Collapsing composes with every engine: the collapsed tape and
+# tape-wide tables match the uncollapsed scalar reference.
+"$SFR" grade poly --patterns 240 --engine serial --quiet \
+    > "$COLLAPSE_DIR/poly-serial.out" 2>/dev/null
+"$SFR" grade poly --patterns 240 --collapse --threads 2 --quiet \
     > "$COLLAPSE_DIR/poly-tape.out" 2>/dev/null
-diff "$COLLAPSE_DIR/poly-ref.out" "$COLLAPSE_DIR/poly-tape.out"
+diff "$COLLAPSE_DIR/poly-serial.out" "$COLLAPSE_DIR/poly-tape.out"
 "$SFR" grade poly --patterns 240 --collapse --engine tape-wide --threads 2 --quiet \
     > "$COLLAPSE_DIR/poly-tape-wide.out" 2>/dev/null
-diff "$COLLAPSE_DIR/poly-ref.out" "$COLLAPSE_DIR/poly-tape-wide.out"
-echo "   poly: collapsed tape/tape-wide grade tables match the interpretive reference"
+diff "$COLLAPSE_DIR/poly-serial.out" "$COLLAPSE_DIR/poly-tape-wide.out"
+echo "   poly: collapsed tape/tape-wide grade tables match the uncollapsed scalar reference"
 rm -rf "$COLLAPSE_DIR"
 
 echo "== cargo bench --no-run =="

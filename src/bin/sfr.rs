@@ -31,12 +31,12 @@
 //! dropped, Monte Carlo convergence, wall time per phase — is printed
 //! to stderr.
 //!
-//! `--engine NAME` picks the simulation kernel: `serial`, `lane`,
-//! `threaded` (the interpretive simulators), `tape` (the compiled
-//! levelized op-tape kernel, byte-identical output to the interpretive
-//! engines), or `tape-wide` (the 256-bit tape packing 255 faults per
-//! pass; identical tables, pack-granular trace records differ). The
-//! default is chosen from `--threads` as before.
+//! `--engine NAME` picks the simulation kernel: `tape` (the default:
+//! the compiled levelized op-tape kernel, 63 faults per pass), `serial`
+//! (the scalar reference simulator, one fault at a time — byte-identical
+//! output, far slower), or `tape-wide` (the 256-bit tape packing 255
+//! faults per pass; identical tables, pack-granular trace records
+//! differ).
 //!
 //! `grade` supports crash-safe campaigns: `--checkpoint FILE` records
 //! every completed work pack to an fsynced journal, `--resume FILE`
@@ -156,7 +156,7 @@ fn usage() -> ExitCode {
          observability (classify/grade/testprogram): [--trace-out FILE] [--metrics-out FILE]\n                  \
          [--manifest-out FILE] [--force] [--quiet]\n\
          benchmarks: diffeq | facet | poly | fir\n\
-         engines: serial | lane | threaded | tape | tape-wide (default from --threads)"
+         engines: tape (default) | serial | tape-wide"
     );
     ExitCode::FAILURE
 }
@@ -242,13 +242,21 @@ impl Args {
         Args { rest: args }
     }
 
-    fn flag(&mut self, name: &str) -> Option<String> {
-        let pos = self.rest.iter().position(|a| a == name)?;
-        if pos + 1 >= self.rest.len() {
-            return None;
+    /// Removes a `--key value` pair and returns the value. A flag that
+    /// ends the command line, or is followed by another `--flag`, is
+    /// missing its value: an error naming the flag, never a silent
+    /// default.
+    fn flag(&mut self, name: &str) -> Result<Option<String>, String> {
+        let Some(pos) = self.rest.iter().position(|a| a == name) else {
+            return Ok(None);
+        };
+        match self.rest.get(pos + 1) {
+            Some(v) if !v.starts_with("--") => {
+                self.rest.remove(pos);
+                Ok(Some(self.rest.remove(pos)))
+            }
+            _ => Err(format!("{name} needs a value")),
         }
-        self.rest.remove(pos);
-        Some(self.rest.remove(pos))
     }
 
     /// Removes a bare switch (no value) and reports whether it was
@@ -284,6 +292,20 @@ fn build_bench(name: &str, width: usize) -> Result<EmittedSystem, String> {
     }
 }
 
+/// Builds a benchmark's integrated system at `width` bits.
+fn build_system(name: &str, width: usize) -> Result<System, String> {
+    let emitted = build_bench(name, width)?;
+    System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())
+}
+
+/// Every test set a campaign draws is one pattern word wide: refuse a
+/// system whose data inputs do not fit before any simulation starts.
+fn check_pattern_width(name: &str, sys: &System) -> Result<(), String> {
+    sfr_power::TestSet::pseudorandom(sys.pattern_width(), 0, 0)
+        .map(drop)
+        .map_err(|e| format!("{name}: {e}"))
+}
+
 fn main() -> ExitCode {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
@@ -302,22 +324,22 @@ fn main() -> ExitCode {
 
 fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
     let width: usize = args
-        .flag("--width")
+        .flag("--width")?
         .map(|s| s.parse().map_err(|_| "bad --width"))
         .transpose()?
         .unwrap_or(4);
     let patterns: usize = args
-        .flag("--patterns")
+        .flag("--patterns")?
         .map(|s| s.parse().map_err(|_| "bad --patterns"))
         .transpose()?
         .unwrap_or(1200);
     let threshold: f64 = args
-        .flag("--threshold")
+        .flag("--threshold")?
         .map(|s| s.parse().map_err(|_| "bad --threshold"))
         .transpose()?
         .unwrap_or(5.0);
     let threads: usize = args
-        .flag("--threads")
+        .flag("--threads")?
         .map(|s| s.parse().map_err(|_| "bad --threads"))
         .transpose()?
         .unwrap_or(1);
@@ -326,38 +348,36 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
     } else {
         threads
     };
-    let engine = match args.flag("--engine") {
-        Some(name) => EngineKind::parse(&name, eff_threads).ok_or_else(|| {
-            format!("unknown engine `{name}` (serial|lane|threaded|tape|tape-wide)")
-        })?,
+    let engine = match args.flag("--engine")? {
+        Some(name) => EngineKind::parse(&name, eff_threads)
+            .ok_or_else(|| format!("unknown engine `{name}` (tape|serial|tape-wide)"))?,
         None => EngineKind::for_threads(eff_threads),
     };
     let static_prune = args.switch("--static-prune");
     let collapse = args.switch("--collapse");
-    let format = args.flag("--format").unwrap_or_else(|| "text".to_string());
+    let format = args.flag("--format")?.unwrap_or_else(|| "text".to_string());
     if format != "text" && format != "json" {
         return Err(format!("unknown format `{format}` (text|json)"));
     }
-    let fault_spec = args.flag("--fault");
-    let out_file = args.flag("--out");
-    let checkpoint = args.flag("--checkpoint");
-    let resume = args.flag("--resume");
+    let fault_spec = args.flag("--fault")?;
+    let out_file = args.flag("--out")?;
+    let checkpoint = args.flag("--checkpoint")?;
+    let resume = args.flag("--resume")?;
     let cycle_budget: Option<usize> = args
-        .flag("--cycle-budget")
+        .flag("--cycle-budget")?
         .map(|s| s.parse().map_err(|_| "bad --cycle-budget"))
         .transpose()?;
-    let trace_out = args.flag("--trace-out");
-    let metrics_out = args.flag("--metrics-out");
-    let manifest_out = args.flag("--manifest-out");
+    let trace_out = args.flag("--trace-out")?;
+    let metrics_out = args.flag("--metrics-out")?;
+    let manifest_out = args.flag("--manifest-out")?;
     let force = args.switch("--force");
     let quiet = args.switch("--quiet");
 
     match cmd {
         "classify" => {
             let name = args.positional().ok_or("missing benchmark name")?;
-            let emitted = build_bench(&name, width)?;
-            let sys =
-                System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())?;
+            let sys = build_system(&name, width)?;
+            check_pattern_width(&name, &sys)?;
             let obs = Obs::create(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
             let sinks = obs.sinks();
             let tee = Tee::new(&sinks);
@@ -436,9 +456,7 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
                 ("fixture".to_string(), sfr_power::fixture_report())
             } else {
                 let name = args.positional().ok_or("missing benchmark name")?;
-                let emitted = build_bench(&name, width)?;
-                let sys =
-                    System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())?;
+                let sys = build_system(&name, width)?;
                 (name, sfr_power::lint_system(&sys))
             };
             report.normalize();
@@ -464,9 +482,7 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
         }
         "analyze" => {
             let name = args.positional().ok_or("missing benchmark name")?;
-            let emitted = build_bench(&name, width)?;
-            let sys =
-                System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())?;
+            let sys = build_system(&name, width)?;
             let obs = Obs::create(trace_out.as_deref(), metrics_out.as_deref(), quiet)?;
             let sinks = obs.sinks();
             let tee = Tee::new(&sinks);
@@ -482,9 +498,7 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
         }
         "stats" => {
             let name = args.positional().ok_or("missing benchmark name")?;
-            let emitted = build_bench(&name, width)?;
-            let sys =
-                System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())?;
+            let sys = build_system(&name, width)?;
             println!("{name} (width {width}) — integrated system:");
             print!("{}", sfr_netlist_stats(&sys.netlist));
             println!("controller alone:");
@@ -497,9 +511,7 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
         }
         "vcd" => {
             let name = args.positional().ok_or("missing benchmark name")?;
-            let emitted = build_bench(&name, width)?;
-            let sys =
-                System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())?;
+            let sys = build_system(&name, width)?;
             let fault = match fault_spec {
                 Some(spec) => Some(parse_fault(&sys, &spec)?),
                 None => None,
@@ -531,9 +543,7 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
         }
         "verilog" => {
             let name = args.positional().ok_or("missing benchmark name")?;
-            let emitted = build_bench(&name, width)?;
-            let sys =
-                System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())?;
+            let sys = build_system(&name, width)?;
             let path = out_file.unwrap_or_else(|| format!("{name}.v"));
             let mut text = Vec::new();
             sfr_power::write_cell_library(&mut text).map_err(|e| e.to_string())?;
@@ -589,9 +599,8 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
         }
         "table2" => {
             for name in ["diffeq", "facet", "poly"] {
-                let emitted = build_bench(name, width)?;
-                let sys =
-                    System::build(&emitted, SystemConfig::default()).map_err(|e| e.to_string())?;
+                let sys = build_system(name, width)?;
+                check_pattern_width(name, &sys)?;
                 let c = classify_system_with(
                     &sys,
                     &ClassifyConfig {
@@ -619,7 +628,7 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
                 .positional()
                 .ok_or("missing shard subcommand (serve|work)")?;
             let chaos_seed: u64 = args
-                .flag("--chaos-seed")
+                .flag("--chaos-seed")?
                 .map(|s| s.parse().map_err(|_| "bad --chaos-seed"))
                 .transpose()?
                 .unwrap_or(0x5FAD);
@@ -627,28 +636,28 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
                 "serve" => {
                     let name = args.positional().ok_or("missing benchmark name")?;
                     let addr = args
-                        .flag("--addr")
+                        .flag("--addr")?
                         .unwrap_or_else(|| "127.0.0.1:0".to_string());
                     let lease_ms: u64 = args
-                        .flag("--lease-ms")
+                        .flag("--lease-ms")?
                         .map(|s| s.parse().map_err(|_| "bad --lease-ms"))
                         .transpose()?
                         .unwrap_or(2_000);
                     let grace_ms: u64 = args
-                        .flag("--grace-ms")
+                        .flag("--grace-ms")?
                         .map(|s| s.parse().map_err(|_| "bad --grace-ms"))
                         .transpose()?
                         .unwrap_or(3_000);
                     let spawn_workers: usize = args
-                        .flag("--spawn-workers")
+                        .flag("--spawn-workers")?
                         .map(|s| s.parse().map_err(|_| "bad --spawn-workers"))
                         .transpose()?
                         .unwrap_or(0);
-                    let chaos = match args.flag("--chaos") {
+                    let chaos = match args.flag("--chaos")? {
                         Some(text) => shard::ChaosConfig::parse(&text)?,
                         None => shard::ChaosConfig::default(),
                     };
-                    let worker_trace_dir = args.flag("--worker-trace-dir");
+                    let worker_trace_dir = args.flag("--worker-trace-dir")?;
                     if lease_ms == 0 {
                         return Err("--lease-ms must be positive".into());
                     }
@@ -737,20 +746,20 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
                 }
                 "work" => {
                     let connect = args
-                        .flag("--connect")
+                        .flag("--connect")?
                         .ok_or("shard work needs --connect HOST:PORT")?;
                     let max_retries: u32 = args
-                        .flag("--max-retries")
+                        .flag("--max-retries")?
                         .map(|s| s.parse().map_err(|_| "bad --max-retries"))
                         .transpose()?
                         .unwrap_or(8);
                     let stall: f64 = args
-                        .flag("--stall")
+                        .flag("--stall")?
                         .map(|s| s.parse().map_err(|_| "bad --stall"))
                         .transpose()?
                         .unwrap_or(0.0);
                     let worker_id: u64 = args
-                        .flag("--worker-id")
+                        .flag("--worker-id")?
                         .map(|s| s.parse().map_err(|_| "bad --worker-id"))
                         .transpose()?
                         .unwrap_or(0);
@@ -778,7 +787,7 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
             }
         }
         "report" => {
-            let journal_in = args.flag("--journal");
+            let journal_in = args.flag("--journal")?;
             let mut artifacts = Vec::new();
             while let Some(path) = args.positional() {
                 let text = std::fs::read_to_string(&path)
@@ -821,12 +830,12 @@ fn run(cmd: &str, args: &mut Args) -> Result<(), String> {
             Ok(())
         }
         "obs-check" => {
-            let trace = args.flag("--trace");
-            let manifest = args.flag("--manifest");
-            let metrics = args.flag("--metrics");
-            let diagnostics = args.flag("--diagnostics");
-            let analysis = args.flag("--analysis");
-            let report = args.flag("--report");
+            let trace = args.flag("--trace")?;
+            let manifest = args.flag("--manifest")?;
+            let metrics = args.flag("--metrics")?;
+            let diagnostics = args.flag("--diagnostics")?;
+            let analysis = args.flag("--analysis")?;
+            let report = args.flag("--report")?;
             if trace.is_none()
                 && manifest.is_none()
                 && metrics.is_none()

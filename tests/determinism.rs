@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
-use sfr_power::exec::{Engine, LaneEngine, SerialEngine, ThreadedEngine};
+use sfr_power::exec::{Engine, SerialEngine, TapeEngine, TapeWideEngine};
 use sfr_power::{
     benchmarks, golden_trace, MonteCarloConfig, RunConfig, Study, StudyBuilder, System,
     SystemConfig, TestSet,
@@ -100,9 +100,8 @@ fn study_is_bit_identical_at_any_thread_count() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The three interchangeable engines agree on every fault's
-    /// verdict for arbitrary TPGR seeds, session lengths, and thread
-    /// counts.
+    /// The interchangeable engines agree on every fault's verdict for
+    /// arbitrary TPGR seeds, session lengths, and thread counts.
     #[test]
     fn engines_are_equivalent(
         seed in 1u32..u32::from(u16::MAX),
@@ -114,14 +113,19 @@ proptest! {
         let golden = golden_trace(sys, &ts, &RunConfig::default());
         let faults = sys.controller_faults();
         let serial = SerialEngine.run(sys, &golden, &faults);
-        let lane = LaneEngine.run(sys, &golden, &faults);
-        let threaded = ThreadedEngine::new(threads).run(sys, &golden, &faults);
+        let tape = TapeEngine::new(1).run(sys, &golden, &faults);
+        let threaded = TapeEngine::new(threads).run(sys, &golden, &faults);
+        let wide = TapeWideEngine::new(threads).run(sys, &golden, &faults);
         prop_assert_eq!(serial.len(), faults.len());
-        for ((s, l), t) in serial.iter().zip(&lane).zip(&threaded) {
+        prop_assert_eq!(tape.len(), faults.len());
+        prop_assert_eq!(wide.len(), faults.len());
+        for (((s, l), t), w) in serial.iter().zip(&tape).zip(&threaded).zip(&wide) {
             prop_assert_eq!(s.fault, l.fault);
             prop_assert_eq!(s.fault, t.fault);
+            prop_assert_eq!(s.fault, w.fault);
             prop_assert_eq!(s.detection, l.detection);
-            // The lane and threaded engines are byte-identical by
+            prop_assert_eq!(s.detection, w.detection);
+            // The tape engine is byte-identical at any thread count by
             // construction (same 63-fault batch boundaries).
             prop_assert_eq!(l.detection, t.detection);
         }
